@@ -40,7 +40,6 @@ from .varpro import (
     recover_beta,
     f_and_grad,
     f_and_grad_matrix,
-    f_and_grad_lq,
     hessian,
     classify_stationary,
 )

@@ -15,10 +15,10 @@ import scipy.linalg
 import scipy.sparse
 
 from .lbfgs import LbfgsConfig, minimize_box
-from .linalg import Side, cg_solve, cholesky_solve, operator_norm_estimate, solve_spd, woodbury_side
+from .linalg import cg_solve, cholesky_solve, operator_norm_estimate, solve_spd
 from .problems import BeckmannProblem, MultiTaskProblem, Problem, multitask_objective, primal_objective
 from .regularizers import GroupL2, L1
-from .varpro import inner_solve_primal
+from .varpro import eval_state, inner_solve_primal, recover_beta
 
 
 class StepConditionViolated(ValueError):
@@ -204,35 +204,24 @@ def irls_vector(prob: Problem, eps: float, iters: int = 100, eta0=None, budget_s
     """Iteratively reweighted least squares with a fixed barrier eps.
 
     Alternates the reweighted ridge solve with the closed-form weight
-    update eta_g = sqrt(||beta_g||^2 + eps).  The barrier biases the
-    solution by O(eps); no decrease schedule is applied.
+    update eta_g = sqrt(||beta_g||^2 + eps).  The ridge solve at weights
+    eta is the projected inner solve at v = sqrt(eta).  The barrier biases
+    the solution by O(eps); no decrease schedule is applied.
     """
     if prob.lam <= 0 or eps <= 0:
         raise ValueError("irls needs lam > 0 and eps > 0")
-    X, y, lam = prob.X, prob.y, prob.lam
+    y = prob.y
     groups = prob.groups
     eta = np.ones(groups.k) if eta0 is None else np.asarray(eta0, float).copy()
     tr = SolverTrace("irls", config={"eps": eps, "iters": iters})
     t0 = time.perf_counter()
     beta = np.zeros((prob.n,) if y.ndim == 1 else (prob.n, y.shape[1]))
     tr.record(0, 0.0, primal_objective(prob, beta))
-    side = woodbury_side(prob.m, prob.n, lam)
     for k in range(1, iters + 1):
         if _over(t0, budget_s):
             break
-        ebar = groups.expand(eta)
-        if side is Side.DUAL_M:
-            if scipy.sparse.issparse(X):
-                K = (X.multiply(ebar) @ X.T).toarray() + lam * np.eye(prob.m)
-            else:
-                K = (X * ebar) @ X.T + lam * np.eye(prob.m)
-            alpha = solve_spd(K, y)
-            corr = np.asarray(X.T @ alpha)
-            beta = ebar * corr if corr.ndim == 1 else ebar[:, None] * corr
-        else:
-            Xd = X.toarray() if scipy.sparse.issparse(X) else np.asarray(X, float)
-            G = Xd.T @ Xd + lam * np.diag(1.0 / ebar)
-            beta = solve_spd(G, np.asarray(X.T @ y))
+        v = np.sqrt(eta)
+        beta = recover_beta(prob, v, u=eval_state(prob, v).u)
         nrm2 = np.array([float(np.sum(beta[g] ** 2)) for g in groups.groups])
         eta = np.sqrt(nrm2 + eps)
         tr.record(k, time.perf_counter() - t0, primal_objective(prob, beta))
@@ -321,42 +310,36 @@ def quad_var_oracle(prob: Problem):
     g(eta) = (1/2) sum eta + (1/2) <alpha, y> with alpha solving
     (lam I + X diag(etabar) X^T) alpha = y; the gradient is
     1/2 - (1/2) ||X_g^T alpha||^2 per group, and beta = etabar (x) X^T alpha.
+    g is the projected objective f at v = sqrt(eta), so one eval_state, on
+    whichever inner system is smaller, gives all three.
     """
     if prob.lam <= 0:
         raise ValueError("quad variational needs lam > 0")
     if not isinstance(prob.reg, (L1, GroupL2)):
         raise ValueError("quad variational covers the group family only")
-    X, y, lam = prob.X, prob.y, prob.lam
     groups = prob.groups
-    k = groups.k
 
     def eval_eta(eta):
-        ebar = groups.expand(eta)
-        if scipy.sparse.issparse(X):
-            K = (X.multiply(ebar) @ X.T).toarray() + lam * np.eye(prob.m)
-        else:
-            K = (X * ebar) @ X.T + lam * np.eye(prob.m)
-        alpha = solve_spd(K, y)
-        corr = np.asarray(X.T @ alpha)
-        s = np.array([float(np.sum(corr[g] ** 2)) for g in groups.groups])
-        val = 0.5 * float(eta.sum()) + 0.5 * float(np.sum(alpha * y))
-        grad = 0.5 * np.ones(k) - 0.5 * s
-        beta = ebar * corr if corr.ndim == 1 else ebar[:, None] * corr
-        return val, grad, beta
+        v = np.sqrt(eta)
+        st = eval_state(prob, v)
+        grad = 0.5 - 0.5 * groups.norms(st.xi) ** 2
+        return st.f, grad, recover_beta(prob, v, u=st.u)
 
     return eval_eta
 
 
-def quad_variational(prob: Problem, eta0=None, config: LbfgsConfig | None = None,
+def quad_variational(prob: Problem, eta0=None, iters: int = 300, config: LbfgsConfig | None = None,
                      budget_s=None) -> SolverTrace:
     """Bound-constrained quasi-Newton on the convex variational objective.
 
     See quad_var_oracle for the objective; this drives minimize_box over
-    eta >= 0 and reports the primal objective of the recovered beta.
+    eta >= 0 and reports the primal objective of the recovered beta.  An
+    explicit config overrides the iters cap.
     """
     eval_eta = quad_var_oracle(prob)
     k = prob.groups.k
-    tr = SolverTrace("quad-var", config={"solver": "box-lbfgs"})
+    cfg = config or LbfgsConfig(max_iters=iters)
+    tr = SolverTrace("quad-var", config={"solver": "box-lbfgs", "iters": cfg.max_iters})
     t0 = time.perf_counter()
     last = {}
 
@@ -370,7 +353,7 @@ def quad_variational(prob: Problem, eta0=None, config: LbfgsConfig | None = None
         return _over(t0, budget_s)
 
     eta_start = np.ones(k) if eta0 is None else np.asarray(eta0, float).copy()
-    res = minimize_box(oracle, eta_start, np.zeros(k), config or LbfgsConfig(max_iters=300), cb)
+    res = minimize_box(oracle, eta_start, np.zeros(k), cfg, cb)
     _, _, beta = eval_eta(res.x)
     tr.beta = beta
     tr.aux["eta"] = res.x
@@ -378,12 +361,13 @@ def quad_variational(prob: Problem, eta0=None, config: LbfgsConfig | None = None
     return tr
 
 
-def split_box_lasso(prob: Problem, config: LbfgsConfig | None = None, budget_s=None) -> SolverTrace:
+def split_box_lasso(prob: Problem, iters: int = 500, config: LbfgsConfig | None = None,
+                    budget_s=None) -> SolverTrace:
     """Lasso via the positive split beta = p - q with p, q >= 0.
 
     The objective sum(p) + sum(q) + (1/(2 lam)) ||X (p - q) - y||^2 is
     smooth in (p, q), so the box-constrained quasi-Newton driver applies
-    directly.
+    directly.  An explicit config overrides the iters cap.
     """
     if prob.lam <= 0:
         raise ValueError("split formulation needs lam > 0")
@@ -400,15 +384,15 @@ def split_box_lasso(prob: Problem, config: LbfgsConfig | None = None, budget_s=N
         val = float(p.sum() + q.sum()) + float(np.sum(r * r)) / (2.0 * lam)
         return val, np.concatenate([1.0 + gr, 1.0 - gr])
 
-    tr = SolverTrace("lbfgsb-split", config={"solver": "box-lbfgs"})
+    cfg = config or LbfgsConfig(max_iters=iters)
+    tr = SolverTrace("lbfgsb-split", config={"solver": "box-lbfgs", "iters": cfg.max_iters})
     t0 = time.perf_counter()
 
     def cb(it, z, fval, grad):
         tr.record(it, time.perf_counter() - t0, primal_objective(prob, z[:n] - z[n:]))
         return _over(t0, budget_s)
 
-    res = minimize_box(oracle, np.zeros(2 * n), np.zeros(2 * n),
-                       config or LbfgsConfig(max_iters=500), cb)
+    res = minimize_box(oracle, np.zeros(2 * n), np.zeros(2 * n), cfg, cb)
     tr.beta = res.x[:n] - res.x[n:]
     tr.aux["result"] = res
     return tr

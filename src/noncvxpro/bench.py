@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,7 +57,6 @@ class BenchConfig:
     iters: int = 500
     seed: int = 0
     out: str | None = None
-    parallel: bool = False
     solver_configs: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -264,8 +262,8 @@ def _runner(name: str):
         "irls-matrix": lambda p, budget_s, seed, iters, **kw: baselines.irls_matrix(p, eps=kw.pop("eps", 1e-8), iters=iters, budget_s=budget_s, **kw),
         "altmin": lambda p, budget_s, seed, iters, **kw: baselines.altmin_noncvx(
             p, iters=iters, v0=np.random.default_rng(seed).standard_normal(p.groups.k), budget_s=budget_s, **kw),
-        "quad-var": lambda p, budget_s, seed, iters, **kw: baselines.quad_variational(p, budget_s=budget_s, **kw),
-        "lbfgsb-split": lambda p, budget_s, seed, iters, **kw: baselines.split_box_lasso(p, budget_s=budget_s, **kw),
+        "quad-var": lambda p, budget_s, seed, iters, **kw: baselines.quad_variational(p, iters=iters, budget_s=budget_s, **kw),
+        "lbfgsb-split": lambda p, budget_s, seed, iters, **kw: baselines.split_box_lasso(p, iters=iters, budget_s=budget_s, **kw),
         "dr": lambda p, budget_s, seed, iters, **kw: baselines.douglas_rachford_bp(p, iters=iters, budget_s=budget_s, **kw),
         "cp": lambda p, budget_s, seed, iters, **kw: baselines.chambolle_pock_bp(p, iters=iters, budget_s=budget_s, **kw),
     }
@@ -286,27 +284,12 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
     traces = []
     failures = {}
 
-    def run_one(name, fn):
+    for name, fn in runners:
         kw = dict(config.solver_configs.get(name, {}))
-        return fn(prob, config.budget_s, config.seed, config.iters, **kw)
-
-    if config.parallel and len(runners) > 1:
-        warnings.warn("parallel races share cores; timings become machine-load dependent")
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=len(runners)) as ex:
-            futs = {ex.submit(run_one, name, fn): name for name, fn in runners}
-            for fut, name in futs.items():
-                try:
-                    traces.append(fut.result())
-                except Exception as exc:
-                    failures[name] = repr(exc)
-    else:
-        for name, fn in runners:
-            try:
-                traces.append(run_one(name, fn))
-            except Exception as exc:
-                failures[name] = repr(exc)
+        try:
+            traces.append(fn(prob, config.budget_s, config.seed, config.iters, **kw))
+        except Exception as exc:
+            failures[name] = repr(exc)
 
     finite = [obj for tr in traces for obj in tr.objectives if np.isfinite(obj)]
     f_star = min(finite) if finite else float("nan")

@@ -43,10 +43,6 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
-def _to_bool(v: str) -> bool:
-    return v.lower() in ("1", "true", "yes", "on")
-
-
 # dest -> (converter, default); conversions apply to config-file strings
 _BENCH_FIELDS = {
     "problem": (str, None),
@@ -59,7 +55,6 @@ _BENCH_FIELDS = {
     "iters": (int, 500),
     "seed": (int, 0),
     "out": (str, None),
-    "parallel": (_to_bool, False),
 }
 
 _PHASE_FIELDS = {
@@ -113,8 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bench", help="race several solvers on one problem")
     _add_bench_flags(b)
     b.add_argument("--solvers", help="comma list (default noncvx-pro,cd)")
-    b.add_argument("--parallel", action="store_true", default=None,
-                   help="run solvers concurrently (timings become load dependent)")
 
     s = sub.add_parser("solve", help="run a single solver and print the result")
     _add_bench_flags(s)
@@ -157,7 +150,6 @@ def _bench_config(merged: dict, solvers: tuple) -> BenchConfig:
         iters=merged["iters"],
         seed=merged["seed"],
         out=merged["out"],
-        parallel=merged.get("parallel", False),
     )
 
 

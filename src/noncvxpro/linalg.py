@@ -36,6 +36,14 @@ class NonFiniteEncountered(FloatingPointError):
     """A NaN or Inf appeared during an iterative solve."""
 
 
+class InconsistentSystem(ValueError):
+    """A singular system has no solution: b is not in the range of A.
+
+    Raised when CG stalls above a 1e-7 relative residual, and by the lam = 0
+    multiplier solve when y is not reachable.
+    """
+
+
 @dataclass
 class SpdSolveReport:
     """Outcome of an SPD solve.
@@ -233,7 +241,8 @@ def solve_spd(A, b: np.ndarray, tol: float = CG_TOL) -> np.ndarray:
     Dense matrices of dimension <= DENSE_DIRECT_MAX go through Cholesky
     (with a CG fallback if the factorization finds a nonpositive pivot,
     which happens for semidefinite systems on the lam = 0 path).  Callables
-    and larger systems go through CG.
+    and larger systems go through CG, which raises InconsistentSystem
+    rather than return an inexact answer.
 
     Parameters
     ----------
@@ -255,8 +264,20 @@ def solve_spd(A, b: np.ndarray, tol: float = CG_TOL) -> np.ndarray:
 
 
 def _cg_columns(apply_A, b: np.ndarray, tol: float) -> np.ndarray:
-    """CG applied column-wise so matrix right-hand sides work too."""
+    """CG applied column-wise so matrix right-hand sides work too.
+
+    A column that stops short of tol is accepted below 1e-7 relative
+    residual; above it the system is taken to be inconsistent.
+    """
+
+    def column(rhs):
+        rep = cg_solve(apply_A, rhs, tol=tol)
+        if not rep.converged and rep.relative_residual > 1e-7:
+            raise InconsistentSystem(
+                f"CG stalled at relative residual {rep.relative_residual:.3g}"
+            )
+        return rep.x
+
     if b.ndim == 1:
-        return cg_solve(apply_A, b, tol=tol).x
-    cols = [cg_solve(apply_A, b[:, j], tol=tol).x for j in range(b.shape[1])]
-    return np.stack(cols, axis=1)
+        return column(b)
+    return np.stack([column(b[:, j]) for j in range(b.shape[1])], axis=1)

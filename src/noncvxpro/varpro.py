@@ -21,14 +21,9 @@ from typing import Optional
 import numpy as np
 import scipy.sparse
 
-from .linalg import DENSE_DIRECT_MAX, NotSpd, Side, cg_solve, cholesky_solve, solve_spd, woodbury_side
+from .linalg import DENSE_DIRECT_MAX, InconsistentSystem, NotSpd, Side, cholesky_solve, solve_spd, woodbury_side
 from .problems import MultiTaskProblem, Problem
-from .regularizers import GroupL2, L1, Lq, h_outer_grad, h_value
-
-
-class InconsistentSystem(ValueError):
-    """The lam = 0 multiplier system has no solution (y not reachable)."""
-
+from .regularizers import GroupL2, L1, h_outer_grad, h_value
 
 SUPPORT_CUTOFF = 1e-10  # |v_g| > cutoff * max|v| puts group g in the support J
 
@@ -159,18 +154,7 @@ def inner_solve_dual(prob: Problem, v: np.ndarray) -> np.ndarray:
     def apply(w):
         return np.asarray(X @ (vbar2 * np.asarray(X.T @ w))) + prob.lam * w
 
-    if y.ndim == 1:
-        rep = cg_solve(apply, -y)
-        if not rep.converged and rep.relative_residual > 1e-7:
-            raise InconsistentSystem("dual system did not reach a solution")
-        return rep.x
-    cols = []
-    for j in range(y.shape[1]):
-        rep = cg_solve(apply, -y[:, j])
-        if not rep.converged and rep.relative_residual > 1e-7:
-            raise InconsistentSystem("dual system did not reach a solution")
-        cols.append(rep.x)
-    return np.stack(cols, axis=1)
+    return solve_spd(apply, -y)
 
 
 def recover_beta(
@@ -246,18 +230,10 @@ def f_and_grad(prob: Problem, v: np.ndarray, route: Side | None = None):
     return st.f, st.grad
 
 
-def f_and_grad_lq(prob: Problem, v: np.ndarray, q: float | None = None):
-    """Projected objective for the lq family (q in (2/3, 2)), dual route.
-
-    With q = 1 this reduces exactly to f_and_grad on the same inputs.  At
-    lam = 0 it is the smooth basis-pursuit objective whose stationary
-    points satisfy the lq optimality conditions.
-    """
-    if q is not None and not isinstance(prob.reg, Lq):
-        prob = Problem(prob.X, prob.y, prob.lam, Lq(q))
-    if not isinstance(prob.reg, Lq):
-        raise ValueError("problem does not carry an lq regularizer")
-    return f_and_grad(prob, v, Side.DUAL_M)
+def _task_solve(X: np.ndarray, y: np.ndarray, V: np.ndarray, lam: float):
+    """One task's inner ridge system: A = X V and u = (lam I + A^T A)^{-1} A^T y."""
+    A = X @ V
+    return A, solve_spd(lam * np.eye(V.shape[1]) + A.T @ A, A.T @ y)
 
 
 def f_and_grad_matrix(mt: MultiTaskProblem, V: np.ndarray, lam: float | None = None):
@@ -271,13 +247,10 @@ def f_and_grad_matrix(mt: MultiTaskProblem, V: np.ndarray, lam: float | None = N
     lam = mt.lam if lam is None else lam
     if lam <= 0:
         raise ValueError("matrix route needs lam > 0")
-    n = mt.n
     f = 0.5 * float(np.sum(V * V))
     grad = V.copy()
     for X, y in zip(mt.Xs, mt.ys):
-        A = X @ V
-        G = lam * np.eye(n) + A.T @ A
-        u = solve_spd(G, A.T @ y)
+        A, u = _task_solve(X, y, V, lam)
         r = A @ u - y
         f += 0.5 * float(u @ u) + float(r @ r) / (2.0 * lam)
         grad += np.outer(X.T @ r, u) / lam
@@ -288,12 +261,9 @@ def recover_b(mt: MultiTaskProblem, V: np.ndarray, lam: float | None = None) -> 
     """Coefficient matrix B = V U with per-task inner solutions as columns."""
     V = np.asarray(V, dtype=float)
     lam = mt.lam if lam is None else lam
-    n = mt.n
-    B = np.empty((n, mt.T))
+    B = np.empty((mt.n, mt.T))
     for t, (X, y) in enumerate(zip(mt.Xs, mt.ys)):
-        A = X @ V
-        G = lam * np.eye(n) + A.T @ A
-        B[:, t] = V @ solve_spd(G, A.T @ y)
+        B[:, t] = V @ _task_solve(X, y, V, lam)[1]
     return B
 
 

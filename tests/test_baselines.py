@@ -243,6 +243,45 @@ def test_quad_variational_oracle_gradient_matches_fd():
     assert_allclose(grad, ref, rtol=1e-6, atol=1e-8)
 
 
+def _tall_and_wide_group_problems():
+    rng = np.random.default_rng(21)
+    for m, n in ((9, 24), (24, 9)):
+        X = rng.standard_normal((m, n))
+        y = rng.standard_normal(m)
+        for reg in (L1(), GroupL2(GroupStructure.contiguous(n, 3))):
+            yield Problem(X, y, lambda_max(X, y, reg) / 4.0, reg)
+
+
+def test_quad_var_oracle_matches_dual_formula():
+    # reference: the m-sized dual system (lam I + X diag(etabar) X^T) alpha = y
+    # written out, on wide and tall designs and with some eta_g = 0
+    rng = np.random.default_rng(22)
+    for prob in _tall_and_wide_group_problems():
+        k = prob.groups.k
+        eta = 0.1 + rng.random(k)
+        eta[::2] = 0.0
+        ebar = prob.groups.expand(eta)
+        alpha = np.linalg.solve((prob.X * ebar) @ prob.X.T + prob.lam * np.eye(prob.m), prob.y)
+        corr = prob.X.T @ alpha
+        ref_val = 0.5 * eta.sum() + 0.5 * float(alpha @ prob.y)
+        ref_grad = 0.5 - 0.5 * np.array([np.sum(corr[g] ** 2) for g in prob.groups.groups])
+        val, grad, beta = quad_var_oracle(prob)(eta)
+        assert val == pytest.approx(ref_val, rel=1e-12)
+        assert_allclose(grad, ref_grad, rtol=1e-10, atol=1e-12)
+        assert_allclose(beta, ebar * corr, rtol=1e-10, atol=1e-12)
+
+
+def test_irls_step_matches_reweighted_normal_equations():
+    # one step from weights eta0 solves (X^T X + lam diag(1/etabar)) beta = X^T y
+    rng = np.random.default_rng(23)
+    for prob in _tall_and_wide_group_problems():
+        eta = 0.1 + rng.random(prob.groups.k)
+        ebar = prob.groups.expand(eta)
+        ref = np.linalg.solve(prob.X.T @ prob.X + prob.lam * np.diag(1.0 / ebar), prob.X.T @ prob.y)
+        tr = irls_vector(prob, eps=1e-8, iters=1, eta0=eta)
+        assert_allclose(tr.beta, ref, rtol=1e-9, atol=1e-11)
+
+
 def test_quad_variational_rejects_wrong_inputs():
     from noncvxpro.regularizers import Lq
 

@@ -20,6 +20,7 @@ from noncvxpro.bench import (
     run_noncvxpro,
 )
 from noncvxpro.baselines import coordinate_descent_lasso
+from noncvxpro.lbfgs import LbfgsConfig
 from noncvxpro.problems import MultiTaskProblem, Problem
 from noncvxpro.regularizers import L1, lambda_max
 
@@ -177,6 +178,22 @@ def test_solver_failure_is_recorded_not_fatal():
     rep = run_benchmark(cfg)
     assert list(rep.failures) == ["dr"]
     assert [tr.name for tr in rep.traces] == ["cd"]
+
+
+def test_race_iters_caps_box_constrained_solvers():
+    # both need far more than 5 iterations here (131 and 90 samples uncapped)
+    cfg = BenchConfig(problem="synth:m=60,n=120,s=6", solvers=("quad-var", "lbfgsb-split"), iters=5)
+    rep = run_benchmark(cfg)
+    assert [tr.name for tr in rep.traces] == ["quad-var", "lbfgsb-split"]
+    for tr in rep.traces:
+        assert tr.aux["result"].iterations == 5
+        assert len(tr.objectives) <= 6
+
+
+def test_explicit_lbfgs_config_overrides_race_iters():
+    cfg = BenchConfig(problem="synth:m=60,n=120,s=6", solvers=("lbfgsb-split",), iters=5,
+                      solver_configs={"lbfgsb-split": {"config": LbfgsConfig(max_iters=8)}})
+    assert run_benchmark(cfg).traces[0].aux["result"].iterations == 8
 
 
 def test_same_seed_reproduces_random_start_solvers():

@@ -9,7 +9,6 @@ from noncvxpro.cli import (
     EXIT_OK,
     EXIT_PROBLEM,
     _parse_m_range,
-    _to_bool,
     main,
 )
 
@@ -141,8 +140,3 @@ def test_parse_m_range_colon_forms():
     assert _parse_m_range("4:6") == [4, 5, 6]
     assert _parse_m_range("3,7,9") == [3, 7, 9]
     assert _parse_m_range("16") == [16]
-
-
-def test_to_bool_accepts_usual_spellings():
-    assert _to_bool("1") and _to_bool("true") and _to_bool("Yes") and _to_bool("ON")
-    assert not _to_bool("0") and not _to_bool("false") and not _to_bool("off")

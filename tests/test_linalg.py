@@ -6,12 +6,14 @@ from numpy.testing import assert_allclose
 
 from noncvxpro.linalg import (
     DimensionMismatch,
+    InconsistentSystem,
     NonFiniteEncountered,
     NotSpd,
     Side,
     cg_solve,
     cholesky_solve,
     operator_norm_estimate,
+    solve_spd,
     woodbury_side,
 )
 
@@ -100,6 +102,30 @@ def test_cholesky_and_cg_agree_on_random_spd():
         xd = cholesky_solve(A, b)
         xi = cg_solve(lambda w, A=A: A @ w, b, tol=1e-12).x
         assert np.linalg.norm(xd - xi) <= 1e-6 * (1.0 + np.linalg.norm(xd))
+
+
+def test_solve_spd_operator_solves_singular_consistent_system():
+    A = np.diag([1.0, 0.0])
+    assert_allclose(solve_spd(lambda w: A @ w, np.array([2.0, 0.0])), [2.0, 0.0], atol=1e-12)
+
+
+def test_solve_spd_operator_raises_on_inconsistent_system():
+    # b has a component in the kernel of A: CG stalls at relative residual
+    # 1/sqrt(2) and must not hand back that iterate as a solution
+    A = np.diag([1.0, 0.0])
+    with pytest.raises(InconsistentSystem):
+        solve_spd(lambda w: A @ w, np.array([1.0, 1.0]))
+    b = np.array([[1.0, 1.0], [0.0, 1.0]])  # the second column is unreachable
+    with pytest.raises(InconsistentSystem):
+        solve_spd(lambda w: A @ w, b)
+
+
+def test_solve_spd_operator_matches_cholesky_columnwise():
+    rng = np.random.default_rng(8)
+    M = rng.standard_normal((12, 12))
+    A = M.T @ M + np.eye(12)
+    b = rng.standard_normal((12, 3))
+    assert_allclose(solve_spd(lambda w: A @ w, b), cholesky_solve(A, b), rtol=1e-8, atol=1e-10)
 
 
 def test_opnorm_identity():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from noncvxpro import varpro
 from noncvxpro.lbfgs import LbfgsConfig, minimize
 from noncvxpro.linalg import Side
 from noncvxpro.problems import MultiTaskProblem, Problem, primal_objective, synth_lasso
@@ -14,7 +15,6 @@ from noncvxpro.varpro import (
     classify_stationary,
     eval_state,
     f_and_grad,
-    f_and_grad_lq,
     f_and_grad_matrix,
     hessian,
     inner_solve_dual,
@@ -76,6 +76,40 @@ def test_dual_solve_inconsistent_at_lambda_zero():
     prob = Problem(np.array([[1.0, 1.0]]), np.array([1.0]), 0.0, L1())
     with pytest.raises(InconsistentSystem):
         inner_solve_dual(prob, np.zeros(2))
+
+
+def test_dual_solve_cg_path_at_lambda_zero(monkeypatch):
+    # the matrix-free route keeps the lam = 0 contract: a reachable y is
+    # solved, an unreachable one raises rather than return a CG iterate
+    monkeypatch.setattr(varpro, "DENSE_DIRECT_MAX", 0)
+    prob = Problem(np.array([[1.0, 1.0]]), np.array([1.0]), 0.0, L1())
+    assert_allclose(inner_solve_dual(prob, np.array([1.0, 1.0])), [-0.5], atol=1e-12)
+    with pytest.raises(InconsistentSystem):
+        inner_solve_dual(prob, np.zeros(2))
+
+
+@pytest.mark.parametrize("m, n, lam_frac", [(8, 20, 5.0), (20, 8, 5.0), (8, 20, None)])
+def test_eval_state_cg_path_matches_dense_path(monkeypatch, m, n, lam_frac):
+    # with the direct-solve threshold at 0 both inner solves run CG on
+    # operators; f, grad and the inner quantities must match the dense
+    # Cholesky path on every route (lam_frac None is the lam = 0 problem)
+    rng = np.random.default_rng(m * n)
+    X = rng.standard_normal((m, n))
+    y = rng.standard_normal(m)
+    reg = GroupL2(GroupStructure.contiguous(n, 4))
+    lam = 0.0 if lam_frac is None else lambda_max(X, y, reg) / lam_frac
+    prob = Problem(X, y, lam, reg)
+    v = rng.standard_normal(4)
+    routes = [Side.DUAL_M] if lam == 0 else list(Side)
+    for route in routes:
+        dense = eval_state(prob, v, route)
+        with monkeypatch.context() as mp:
+            mp.setattr(varpro, "DENSE_DIRECT_MAX", 0)
+            cg = eval_state(prob, v, route)
+        assert cg.f == pytest.approx(dense.f, rel=1e-8)
+        for name in ("grad", "u", "alpha", "xi"):
+            a, b = getattr(cg, name), getattr(dense, name)
+            assert np.linalg.norm(a - b) <= 1e-8 * (1.0 + np.linalg.norm(b)), (route, name)
 
 
 # ------------------------------------------------------------- recover_beta
@@ -211,7 +245,7 @@ def test_lq_at_q1_reduces_to_group_objective():
     X = rng.standard_normal((5, 7))
     y = rng.standard_normal(5)
     v = rng.standard_normal(7)
-    f1, g1 = f_and_grad_lq(Problem(X, y, 0.4, Lq(1.0)), v)
+    f1, g1 = f_and_grad(Problem(X, y, 0.4, Lq(1.0)), v, Side.DUAL_M)
     f2, g2 = f_and_grad(Problem(X, y, 0.4, L1()), v, route=Side.DUAL_M)
     assert f1 == pytest.approx(f2, rel=1e-12)
     assert_allclose(g1, g2, rtol=1e-12, atol=1e-14)
@@ -220,7 +254,7 @@ def test_lq_at_q1_reduces_to_group_objective():
 def test_lq_grad_vanishes_at_zero_v():
     rng = np.random.default_rng(10)
     prob = Problem(rng.standard_normal((4, 6)), rng.standard_normal(4), 0.5, Lq(0.8))
-    _, g = f_and_grad_lq(prob, np.zeros(6))
+    _, g = f_and_grad(prob, np.zeros(6), Side.DUAL_M)
     assert_allclose(g, np.zeros(6), atol=1e-14)
 
 
@@ -228,8 +262,8 @@ def test_lq_gradient_matches_finite_differences():
     rng = np.random.default_rng(11)
     prob = Problem(rng.standard_normal((4, 6)), rng.standard_normal(4), 0.7, Lq(0.8))
     v = rng.standard_normal(6) + 0.5 * np.sign(rng.standard_normal(6))
-    _, g = f_and_grad_lq(prob, v)
-    ref = fd_grad(lambda w: f_and_grad_lq(prob, w)[0], v)
+    _, g = f_and_grad(prob, v, Side.DUAL_M)
+    ref = fd_grad(lambda w: f_and_grad(prob, w, Side.DUAL_M)[0], v)
     assert_allclose(g, ref, rtol=1e-5, atol=1e-7)
 
 
