@@ -16,9 +16,6 @@ from .regularizers import (
     GroupL2,
     TraceNorm,
     Lq,
-    h_value,
-    h_outer_grad,
-    prox,
     lambda_max,
 )
 from .problems import (

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .lbfgs import LbfgsConfig, minimize_box
+from .lbfgs import LbfgsConfig, last_point_cache, minimize_box
 from .linalg import cg_solve, cholesky_solve, operator_norm_estimate, solve_spd
 from .problems import BeckmannProblem, MultiTaskProblem, Problem, multitask_objective, primal_objective
 from .regularizers import GroupL2, L1
@@ -222,8 +222,7 @@ def irls_vector(prob: Problem, eps: float, iters: int = 100, eta0=None, budget_s
             break
         v = np.sqrt(eta)
         beta = recover_beta(prob, v, u=eval_state(prob, v).u)
-        nrm2 = np.array([float(np.sum(beta[g] ** 2)) for g in groups.groups])
-        eta = np.sqrt(nrm2 + eps)
+        eta = np.sqrt(groups.sumsq(beta) + eps)
         tr.record(k, time.perf_counter() - t0, primal_objective(prob, beta))
     tr.beta = beta
     tr.aux["eta"] = eta
@@ -280,24 +279,23 @@ def altmin_noncvx(prob: Problem, iters: int = 200, v0=None, budget_s=None) -> So
     tr = SolverTrace("altmin", config={"iters": iters})
     t0 = time.perf_counter()
     u = np.zeros((prob.n,) if y.ndim == 1 else (prob.n, y.shape[1]))
+    beta = recover_beta(prob, v, u=u)
     joint = []
-    tr.record(0, 0.0, primal_objective(prob, groups.expand(v) * u if u.ndim == 1 else groups.expand(v)[:, None] * u))
+    tr.record(0, 0.0, primal_objective(prob, beta))
     for it in range(1, iters + 1):
         if _over(t0, budget_s):
             break
         u = inner_solve_primal(prob, v)
         # v step: residual is sum_g v_g (X_g u_g); ridge in v
-        M = np.stack([(X[:, g] @ u[g]).ravel() for g in groups.groups], axis=1)
+        M = groups.sum_groups(X.T[:, :, None] * u.reshape(prob.n, 1, -1)).reshape(k, -1).T
         rhs = M.T @ y.ravel()
         v = solve_spd(lam * np.eye(k) + M.T @ M, rhs)
-        vbar = groups.expand(v)
-        beta = vbar * u if u.ndim == 1 else vbar[:, None] * u
+        beta = recover_beta(prob, v, u=u)
         resid = X @ beta - y
         joint.append(0.5 * float(v @ v) + 0.5 * float(np.sum(u * u))
                      + float(np.sum(resid * resid)) / (2.0 * lam))
         tr.record(it, time.perf_counter() - t0, primal_objective(prob, beta))
-    vbar = groups.expand(v)
-    tr.beta = vbar * u if u.ndim == 1 else vbar[:, None] * u
+    tr.beta = beta
     tr.aux["joint"] = joint
     tr.aux["v"] = v
     tr.aux["u"] = u
@@ -341,21 +339,18 @@ def quad_variational(prob: Problem, eta0=None, iters: int = 300, config: LbfgsCo
     cfg = config or LbfgsConfig(max_iters=iters)
     tr = SolverTrace("quad-var", config={"solver": "box-lbfgs", "iters": cfg.max_iters})
     t0 = time.perf_counter()
-    last = {}
+    eval_at, out_at = last_point_cache(eval_eta)
 
     def oracle(eta):
-        val, grad, beta = eval_eta(eta)
-        last["beta"] = beta
-        return val, grad
+        return eval_at(eta)[:2]
 
     def cb(it, eta, fval, grad):
-        tr.record(it, time.perf_counter() - t0, primal_objective(prob, last["beta"]))
+        tr.record(it, time.perf_counter() - t0, primal_objective(prob, out_at(eta)[2]))
         return _over(t0, budget_s)
 
     eta_start = np.ones(k) if eta0 is None else np.asarray(eta0, float).copy()
     res = minimize_box(oracle, eta_start, np.zeros(k), cfg, cb)
-    _, _, beta = eval_eta(res.x)
-    tr.beta = beta
+    tr.beta = out_at(res.x)[2]
     tr.aux["eta"] = res.x
     tr.aux["result"] = res
     return tr

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import baselines
-from .lbfgs import LbfgsConfig, minimize
+from .lbfgs import LbfgsConfig, last_point_cache, minimize
 from .problems import (
     BeckmannProblem,
     InfeasibleAtLambdaZero,
@@ -190,6 +190,21 @@ def _resolve_lambda(config: BenchConfig, X, y, reg) -> float:
     return lambda_max(X, y, base_reg) / frac
 
 
+def _state_oracle(prob):
+    """L-BFGS oracle over eval_state (infinite where y is unreachable), and
+    a reader of the VarProState at a point that reuses the oracle's last one."""
+    eval_at, state_at = last_point_cache(lambda v: eval_state(prob, v))
+
+    def oracle(v):
+        try:
+            st = eval_at(v)
+        except InconsistentSystem:
+            return np.inf, np.zeros_like(v)
+        return st.f, st.grad
+
+    return oracle, state_at
+
+
 def run_noncvxpro(prob, budget_s=None, seed: int = 0, iters: int = 500,
                   config: LbfgsConfig | None = None) -> baselines.SolverTrace:
     """Race entry for the smooth bilevel method itself.
@@ -197,7 +212,9 @@ def run_noncvxpro(prob, budget_s=None, seed: int = 0, iters: int = 500,
     Outer start is standard normal (seeded).  Each accepted step records
     the primal objective of the recovered coefficients; at lam = 0 the
     recovered point satisfies the constraint by construction, so the
-    objective is just R(beta).
+    objective is just R(beta).  The callback and the final coefficients
+    reuse the inner state the oracle computed at the accepted point, so a
+    solve makes one inner evaluation per oracle call.
     """
     cfg = config or LbfgsConfig(max_iters=iters)
     tr = baselines.SolverTrace("noncvx-pro", config={"iters": cfg.max_iters, "seed": seed})
@@ -222,29 +239,19 @@ def run_noncvxpro(prob, budget_s=None, seed: int = 0, iters: int = 500,
         tr.aux["result"] = res
         return tr
 
-    k = prob.groups.k
-
-    def oracle(v):
-        try:
-            st = eval_state(prob, v)
-        except InconsistentSystem:
-            return np.inf, np.zeros_like(v)
-        return st.f, st.grad
+    oracle, state_at = _state_oracle(prob)
 
     def cb(it, v, fv, g):
         try:
-            st = eval_state(prob, v)
-            obj = primal_objective(prob, recover_beta(prob, v, u=st.u))
+            obj = primal_objective(prob, recover_beta(prob, v, u=state_at(v).u))
+            tr.record(it, time.perf_counter() - t0, obj)
         except (InconsistentSystem, InfeasibleAtLambdaZero):
-            return budget_s is not None and time.perf_counter() - t0 > budget_s
-        tr.record(it, time.perf_counter() - t0, obj)
+            pass
         return budget_s is not None and time.perf_counter() - t0 > budget_s
 
-    v0 = rng.standard_normal(k)
-    res = minimize(oracle, v0, cfg, cb)
+    res = minimize(oracle, rng.standard_normal(prob.groups.k), cfg, cb)
     try:
-        st = eval_state(prob, res.x)
-        tr.beta = recover_beta(prob, res.x, u=st.u)
+        tr.beta = recover_beta(prob, res.x, u=state_at(res.x).u)
     except InconsistentSystem:
         tr.beta = None
     tr.aux["result"] = res
@@ -363,19 +370,12 @@ def lq_phase_experiment(
             y = X @ beta_true
             for q in q_list:
                 prob = Problem(X, y, 0.0, Lq(q))
-
-                def oracle(v):
-                    try:
-                        st = eval_state(prob, v)
-                    except InconsistentSystem:
-                        return np.inf, np.zeros_like(v)
-                    return st.f, st.grad
-
+                oracle, state_at = _state_oracle(prob)
                 for _ in range(restarts):
                     v0 = rng.standard_normal(n)
                     try:
                         res = minimize(oracle, v0, cfg)
-                        st = eval_state(prob, res.x)
+                        st = state_at(res.x)
                     except ValueError:
                         continue
                     beta = recover_beta(prob, res.x, u=st.u)

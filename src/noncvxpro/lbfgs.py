@@ -265,6 +265,22 @@ def _engine(
     return OptimResult(x, f, float(np.linalg.norm(g)), it, reason, trace, nfev)
 
 
+def last_point_cache(fn: Callable):
+    """(eval_at, out_at): eval_at(x) calls fn and keeps fn(x); out_at(x) reuses it
+    if x is eval_at's last point (after a line-search fallback the accepted
+    point need not be), else calls fn."""
+    last = []
+
+    def eval_at(x):
+        last[:] = [np.array(x), fn(x)]
+        return last[1]
+
+    def out_at(x):
+        return last[1] if last and np.array_equal(last[0], x) else fn(x)
+
+    return eval_at, out_at
+
+
 def minimize(
     oracle: Callable,
     x0: np.ndarray,

@@ -9,6 +9,7 @@ observations are reachable, i.e. y lies in the range of X up to tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -92,8 +93,9 @@ class Problem:
     def n(self) -> int:
         return self.X.shape[1]
 
-    @property
+    @cached_property
     def groups(self):
+        """The regularizer's group structure, built on first read and kept."""
         return self.reg.groups_for(self.n)
 
 

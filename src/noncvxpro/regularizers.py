@@ -11,6 +11,7 @@ regularization strength lambda_max.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -31,50 +32,72 @@ class UnsupportedFamily(ValueError):
 class GroupStructure:
     """Ordered partition of {0..n-1} into k disjoint nonempty groups.
 
-    Parameters
-    ----------
-    groups : sequence of index sequences
-        The partition, in group order.
-    n : int
-        Total number of coordinates covered.
+    ``groups`` lists the index sequences in group order; a 2-D integer
+    array gives equal-size groups, one per row, built without a Python
+    loop.  The partition is held as a permutation ``perm`` of the
+    coordinates in group order plus ``offsets``: group g is
+    ``perm[offsets[g]:offsets[g + 1]]``.
     """
 
     def __init__(self, groups: Sequence[Sequence[int]], n: int):
-        self.groups = [np.asarray(g, dtype=int) for g in groups]
         self.n = int(n)
-        self.k = len(self.groups)
-        if any(g.size == 0 for g in self.groups):
+        if isinstance(groups, np.ndarray) and groups.ndim == 2:
+            sizes, self.perm = np.full(len(groups), groups.shape[1]), groups.astype(int).ravel()
+        else:
+            parts = [np.asarray(g, dtype=int).ravel() for g in groups]
+            sizes = np.array([g.size for g in parts], dtype=int)
+            self.perm = np.concatenate(parts or [np.empty(0, int)])
+        self.k = sizes.size
+        if np.any(sizes == 0):
             raise ValueError("groups must be nonempty")
-        allidx = np.concatenate(self.groups) if self.groups else np.empty(0, int)
-        if allidx.size != self.n or not np.array_equal(np.sort(allidx), np.arange(self.n)):
+        order = np.argsort(self.perm, kind="stable")
+        if self.perm.size != self.n or not np.array_equal(self.perm[order], np.arange(self.n)):
             raise ValueError("groups must partition 0..n-1")
-        self.group_of = np.empty(self.n, dtype=int)
-        for gid, g in enumerate(self.groups):
-            self.group_of[g] = gid
+        self.offsets = np.concatenate([[0], np.cumsum(sizes)])
+        self.group_of = np.repeat(np.arange(self.k), sizes)[order]
+        self._in_order = np.array_equal(self.perm, np.arange(self.n))
+        self._identity = self._in_order and self.k == self.n
 
     @classmethod
     def singletons(cls, n: int) -> "GroupStructure":
-        return cls([[i] for i in range(n)], n)
+        return cls(np.arange(n)[:, None], n)
 
     @classmethod
     def contiguous(cls, n: int, k: int) -> "GroupStructure":
         """Split 0..n-1 into k contiguous groups of near-equal size."""
         if not 1 <= k <= n:
             raise ValueError("need 1 <= k <= n")
+        if n % k == 0:
+            return cls(np.arange(n).reshape(k, n // k), n)
         bounds = np.linspace(0, n, k + 1).astype(int)
         return cls([np.arange(bounds[i], bounds[i + 1]) for i in range(k)], n)
 
+    @cached_property
+    def groups(self) -> list:
+        """The partition as a list of index arrays (copies), built on first read."""
+        return [self.perm[a:b].copy() for a, b in zip(self.offsets[:-1], self.offsets[1:])]
+
+    def sum_groups(self, vals: np.ndarray) -> np.ndarray:
+        """One sum per group of per-coordinate values (entries or matrix rows).
+
+        Singleton groups in coordinate order return vals as they are."""
+        vals = np.asarray(vals, dtype=float)
+        if self._identity:
+            return vals
+        return np.add.reduceat(vals if self._in_order else vals[self.perm], self.offsets[:-1], axis=0)
+
+    def sumsq(self, beta: np.ndarray) -> np.ndarray:
+        """Per-group squared Euclidean (Frobenius for matrix rows) norms of beta."""
+        sq = np.asarray(beta, dtype=float) ** 2
+        return self.sum_groups(sq if sq.ndim == 1 else sq.reshape(len(sq), -1).sum(axis=1))
+
     def expand(self, w: np.ndarray) -> np.ndarray:
         """Spread one value per group over the coordinates it covers."""
-        w = np.asarray(w, dtype=float)
-        return w[self.group_of]
+        return np.asarray(w, dtype=float)[self.group_of]
 
     def norms(self, beta: np.ndarray) -> np.ndarray:
         """Per-group Euclidean (Frobenius for matrix rows) norms of beta."""
-        return np.array([np.linalg.norm(beta[g]) for g in self.groups])
-
-    def __len__(self) -> int:
-        return self.k
+        return np.sqrt(self.sumsq(beta))
 
 
 class Regularizer:
@@ -84,9 +107,11 @@ class Regularizer:
         raise NotImplementedError
 
     def h_outer_grad(self, v):
+        """Gradient of v -> (1/2) h(v * v) at v (elementwise families) or V."""
         raise NotImplementedError
 
     def prox(self, beta, tau: float):
+        """Proximal operator of tau * R; tau must be nonnegative."""
         raise NotImplementedError
 
     def r_value(self, beta) -> float:
@@ -95,6 +120,11 @@ class Regularizer:
     def groups_for(self, n: int) -> GroupStructure:
         """Group view used by solvers; singleton groups unless overridden."""
         return GroupStructure.singletons(n)
+
+
+def _check_tau(tau: float) -> None:
+    if tau < 0:
+        raise ValueError("tau must be nonnegative")
 
 
 def _check_eta_vector(eta) -> np.ndarray:
@@ -114,6 +144,7 @@ class L1(Regularizer):
         return np.asarray(v, dtype=float)
 
     def prox(self, beta, tau: float):
+        _check_tau(tau)
         beta = np.asarray(beta, dtype=float)
         return np.sign(beta) * np.maximum(np.abs(beta) - tau, 0.0)
 
@@ -134,6 +165,7 @@ class GroupL2(Regularizer):
         return np.asarray(v, dtype=float)
 
     def prox(self, beta, tau: float):
+        _check_tau(tau)
         beta = np.asarray(beta, dtype=float)
         out = beta.copy()
         for g in self.groups.groups:
@@ -201,29 +233,13 @@ class TraceNorm(Regularizer):
         return np.asarray(V, dtype=float)
 
     def prox(self, B, tau: float):
+        _check_tau(tau)
         B = np.asarray(B, dtype=float)
         U, s, Vt = np.linalg.svd(B, full_matrices=False)
         return (U * np.maximum(s - tau, 0.0)) @ Vt
 
     def r_value(self, B) -> float:
         return float(np.linalg.svd(np.asarray(B, dtype=float), compute_uv=False).sum())
-
-
-def h_value(reg: Regularizer, eta) -> float:
-    """Evaluate the family's h at the variational weights eta."""
-    return reg.h_value(eta)
-
-
-def h_outer_grad(reg: Regularizer, v):
-    """Gradient of v -> (1/2) h(v * v) at v (elementwise families) or V."""
-    return reg.h_outer_grad(v)
-
-
-def prox(reg: Regularizer, beta, tau: float):
-    """Proximal operator of tau * R."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    return reg.prox(beta, tau)
 
 
 def lambda_max(X, y, reg: Regularizer) -> float:

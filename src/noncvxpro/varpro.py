@@ -23,7 +23,7 @@ import scipy.sparse
 
 from .linalg import DENSE_DIRECT_MAX, InconsistentSystem, NotSpd, Side, cholesky_solve, solve_spd, woodbury_side
 from .problems import MultiTaskProblem, Problem
-from .regularizers import GroupL2, L1, h_outer_grad, h_value
+from .regularizers import GroupL2, L1
 
 SUPPORT_CUTOFF = 1e-10  # |v_g| > cutoff * max|v| puts group g in the support J
 
@@ -75,10 +75,6 @@ class HessianBlocks:
         return 0.5 * (H + H.T)
 
 
-def _expand(prob: Problem, v: np.ndarray) -> np.ndarray:
-    return prob.groups.expand(v)
-
-
 def _scale_rows(w: np.ndarray, M: np.ndarray) -> np.ndarray:
     """w (x) M with w per-row; M may be a vector or a matrix of columns."""
     return w * M if M.ndim == 1 else w[:, None] * M
@@ -91,7 +87,7 @@ def inner_solve_primal(prob: Problem, v: np.ndarray) -> np.ndarray:
     """
     if prob.lam <= 0:
         raise ValueError("primal inner solve needs lam > 0")
-    vbar = _expand(prob, v)
+    vbar = prob.groups.expand(v)
     X = prob.X
     rhs = _scale_rows(vbar, np.asarray(X.T @ prob.y, dtype=float))
     n = prob.n
@@ -125,7 +121,7 @@ def inner_solve_dual(prob: Problem, v: np.ndarray) -> np.ndarray:
     eigenvalue-cutoff pseudo-solve (or CG from zero for operators), and an
     unreachable right-hand side raises InconsistentSystem.
     """
-    vbar = _expand(prob, v)
+    vbar = prob.groups.expand(v)
     vbar2 = vbar * vbar
     y = prob.y
     m = prob.m
@@ -164,7 +160,7 @@ def recover_beta(
     alpha: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """beta = vbar (x) u, or equivalently -vbar^2 (x) X^T alpha."""
-    vbar = _expand(prob, v)
+    vbar = prob.groups.expand(v)
     if u is not None:
         return _scale_rows(vbar, u)
     if alpha is not None:
@@ -172,34 +168,24 @@ def recover_beta(
     raise ValueError("need u or alpha")
 
 
-def _group_sumsq(groups, M: np.ndarray) -> np.ndarray:
-    """Per-group squared norms of rows of M (vector or matrix)."""
-    if M.ndim == 1:
-        sq = M * M
-    else:
-        sq = np.sum(M * M, axis=1)
-    return np.array([sq[g].sum() for g in groups.groups])
-
-
 def eval_state(prob: Problem, v: np.ndarray, route: Side | None = None) -> VarProState:
     """Evaluate f, its gradient, and all cached inner quantities at v."""
     v = np.asarray(v, dtype=float)
     groups = prob.groups
-    reg = prob.reg
     lam = prob.lam
     if route is None:
         route = woodbury_side(prob.m, prob.n, lam)
     elif not isinstance(route, Side):
         raise ValueError(f"route must be a Side value, got {route!r}")
     vbar = groups.expand(v)
-    half_h = 0.5 * h_value(reg, v * v)
-    outer = h_outer_grad(reg, v)
+    half_h = 0.5 * prob.reg.h_value(v * v)
+    outer = prob.reg.h_outer_grad(v)
 
     if route is Side.DUAL_M or lam == 0:
         alpha = inner_solve_dual(prob, v)
         xi = np.asarray(prob.X.T @ alpha, dtype=float)
         u = _scale_rows(-vbar, xi)
-        s = _group_sumsq(groups, xi)
+        s = groups.sumsq(xi)
         fit = float(np.sum(_scale_rows(vbar, xi) ** 2))
         f = half_h - float(np.sum(prob.y * alpha)) - 0.5 * lam * float(np.sum(alpha * alpha)) - 0.5 * fit
         grad = outer - v * s
@@ -210,12 +196,8 @@ def eval_state(prob: Problem, v: np.ndarray, route: Side | None = None) -> VarPr
         alpha = r / lam
         xi = np.asarray(prob.X.T @ alpha, dtype=float)
         f = half_h + 0.5 * float(np.sum(u * u)) + float(np.sum(r * r)) / (2.0 * lam)
-        if u.ndim == 1:
-            inner = u * xi
-        else:
-            inner = np.sum(u * xi, axis=1)
-        corr = np.array([inner[g].sum() for g in groups.groups])
-        grad = outer + corr
+        inner = u * xi if u.ndim == 1 else np.sum(u * xi, axis=1)
+        grad = outer + groups.sum_groups(inner)
     return VarProState(v=v, u=u, alpha=alpha, xi=xi, f=float(f), grad=grad)
 
 
@@ -279,24 +261,20 @@ def hessian(prob: Problem, v: np.ndarray) -> HessianBlocks:
         raise ValueError("hessian is defined for the group family only")
     v = np.asarray(v, dtype=float)
     groups = prob.groups
-    st = eval_state(prob, v)
-    xi = st.xi
-    s = _group_sumsq(groups, xi)
-    diag = 1.0 - s
-
-    vmax = np.abs(v).max() if v.size else 0.0
-    support = [g for g in range(groups.k) if abs(v[g]) > SUPPORT_CUTOFF * vmax] if vmax > 0 else []
+    xi = eval_state(prob, v).xi
+    diag = 1.0 - groups.sumsq(xi)
+    on = np.abs(v) > SUPPORT_CUTOFF * (np.abs(v).max() if v.size else 0.0)
+    support = np.flatnonzero(on).tolist()
     if not support:
         return HessianBlocks(
             k=groups.k, support=[], diag=diag, W=np.zeros((0, 0)),
             U=np.zeros((0, 0)), sigma_hat=0.0, xi=xi,
         )
 
-    idx = np.concatenate([groups.groups[g] for g in support])
-    vbar = groups.expand(v)
+    idx = groups.perm[on[groups.group_of[groups.perm]]]
     X = prob.X
     XJ = X[:, idx].toarray() if scipy.sparse.issparse(X) else np.asarray(X)[:, idx]
-    A = XJ * vbar[idx]
+    A = XJ * groups.expand(v)[idx]
     M = A.T @ A
     nJ = idx.size
     HJ = M + prob.lam * np.eye(nJ)
@@ -304,11 +282,7 @@ def hessian(prob: Problem, v: np.ndarray) -> HessianBlocks:
     W = 0.5 * (W + W.T)
 
     U = np.zeros((nJ, len(support)))
-    pos = 0
-    for col, g in enumerate(support):
-        size = groups.groups[g].size
-        U[pos : pos + size, col] = xi[groups.groups[g]]
-        pos += size
+    U[np.arange(nJ), (np.cumsum(on) - 1)[groups.group_of[idx]]] = xi[idx]
     sigma_hat = float(np.linalg.eigvalsh(M).min())
     return HessianBlocks(
         k=groups.k, support=support, diag=diag, W=W, U=U,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from noncvxpro.regularizers import (
     GroupL2,
@@ -15,10 +15,7 @@ from noncvxpro.regularizers import (
     NegativeEta,
     TraceNorm,
     UnsupportedFamily,
-    h_outer_grad,
-    h_value,
     lambda_max,
-    prox,
 )
 from _oracles import fd_grad
 
@@ -53,30 +50,93 @@ def test_group_structure_expand_and_norms():
     assert_allclose(gs.norms(B), [5.0, 1.0])
 
 
+@st.composite
+def partitions(draw):
+    """(groups, n): random partitions, contiguous or not, plus singletons in
+    order and out of order, and one group."""
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["random", "contiguous", "singletons", "shuffled singletons", "one"]))
+    if kind == "singletons":
+        return [[i] for i in range(n)], n
+    if kind == "shuffled singletons":
+        return [[i] for i in draw(st.permutations(range(n)))], n
+    if kind == "one":
+        return [list(range(n))], n
+    perm = draw(st.permutations(range(n))) if kind == "random" else list(range(n))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1))) if n > 1 else set())
+    return [list(perm[a:b]) for a, b in zip([0] + cuts, cuts + [n])], n
+
+
+@settings(max_examples=100, deadline=None)
+@given(partitions(), st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_group_primitive_matches_per_group_loop(part, cols, seed):
+    groups, n = part
+    gs = GroupStructure(groups, n)
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal((n,) if cols == 0 else (n, cols))
+    w = rng.standard_normal(len(groups))
+    sums = np.array([vals[g].sum(axis=0) for g in groups])
+    norms = np.array([np.sqrt(np.sum(vals[g] ** 2)) for g in groups])
+    spread = np.empty(n)
+    for gid, g in enumerate(groups):
+        spread[g] = w[gid]
+    assert_array_equal(gs.expand(w), spread)
+    if all(len(g) == 1 for g in groups):
+        assert_array_equal(gs.sum_groups(vals), sums)
+        assert_array_equal(gs.norms(vals), norms)
+    else:
+        scale = np.array([np.abs(vals[g]).sum(axis=0) for g in groups])
+        assert np.all(np.abs(gs.sum_groups(vals) - sums) <= 1e-14 * scale)
+        assert_allclose(gs.norms(vals), norms, rtol=1e-14, atol=0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 50))
+def test_singletons_list_every_coordinate_alone(n):
+    assert [list(g) for g in GroupStructure.singletons(n).groups] == [[i] for i in range(n)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(partitions(), st.sampled_from(["overlap", "drop", "empty", "outside"]))
+def test_invalid_partitions_raise(part, fault):
+    groups, n = part
+    groups = [list(g) for g in groups]
+    if fault == "overlap":
+        groups[-1].append(groups[0][0])
+    elif fault == "drop":
+        groups[-1].pop()
+    elif fault == "empty":
+        groups.append([])
+    else:
+        groups[-1].append(n)
+    with pytest.raises(ValueError):
+        GroupStructure(groups, n)
+
+
 # ------------------------------------------------------------------ h_value
 
 def test_h_value_group_is_sum():
     gs = GroupStructure.singletons(3)
-    assert h_value(GroupL2(gs), np.array([1.0, 2.0, 3.0])) == 6.0
-    assert h_value(L1(), np.array([1.0, 2.0, 3.0])) == 6.0
+    assert GroupL2(gs).h_value(np.array([1.0, 2.0, 3.0])) == 6.0
+    assert L1().h_value(np.array([1.0, 2.0, 3.0])) == 6.0
 
 
 def test_h_value_lq_at_q1_reduces_to_l1():
     # C_1 = 1 and the exponent q/(2-q) = 1, so h is the plain sum
-    assert h_value(Lq(1.0), np.array([1.0, 2.0, 3.0])) == pytest.approx(6.0, abs=1e-12)
+    assert Lq(1.0).h_value(np.array([1.0, 2.0, 3.0])) == pytest.approx(6.0, abs=1e-12)
 
 
 def test_h_value_trace_of_diagonal():
-    assert h_value(TraceNorm(), np.diag([1.0, 2.0])) == 3.0
+    assert TraceNorm().h_value(np.diag([1.0, 2.0])) == 3.0
 
 
 def test_h_value_rejects_negative_eta():
     with pytest.raises(NegativeEta):
-        h_value(L1(), np.array([1.0, -0.1]))
+        L1().h_value(np.array([1.0, -0.1]))
     with pytest.raises(NegativeEta):
-        h_value(TraceNorm(), np.diag([1.0, -1.0]))
+        TraceNorm().h_value(np.diag([1.0, -1.0]))
     with pytest.raises(NegativeEta):
-        h_value(TraceNorm(), np.array([[1.0, 2.0], [0.0, 1.0]]))
+        TraceNorm().h_value(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 def test_lq_constructor_bounds():
@@ -93,70 +153,80 @@ def test_lq_constructor_bounds():
 
 def test_outer_grad_group_is_identity():
     v = np.array([1.0, -2.0])
-    assert_allclose(h_outer_grad(GroupL2(GroupStructure.singletons(2)), v), v)
+    assert_allclose(GroupL2(GroupStructure.singletons(2)).h_outer_grad(v), v)
 
 
 def test_outer_grad_lq_q1_reduces_to_v():
-    assert_allclose(h_outer_grad(Lq(1.0), np.array([2.0])), [2.0])
+    assert_allclose(Lq(1.0).h_outer_grad(np.array([2.0])), [2.0])
 
 
 def test_outer_grad_trace_is_v():
     V = np.diag([3.0, 0.0])
-    assert_allclose(h_outer_grad(TraceNorm(), V), V)
+    assert_allclose(TraceNorm().h_outer_grad(V), V)
 
 
 @pytest.mark.parametrize("reg", [L1(), Lq(0.8), Lq(1.3), GroupL2(GroupStructure.contiguous(4, 2))])
 def test_outer_grad_matches_finite_differences(reg):
     rng = np.random.default_rng(4)
     v = rng.standard_normal(4) + np.sign(rng.standard_normal(4)) * 0.5  # bounded away from 0
-    ref = fd_grad(lambda w: 0.5 * h_value(reg, w * w), v)
-    got = h_outer_grad(reg, v)
+    ref = fd_grad(lambda w: 0.5 * reg.h_value(w * w), v)
+    got = reg.h_outer_grad(v)
     assert_allclose(got, ref, rtol=1e-6, atol=1e-8)
 
 
 def test_outer_grad_trace_matches_finite_differences():
     rng = np.random.default_rng(5)
     V = rng.standard_normal((3, 3))
-    ref = fd_grad(lambda w: 0.5 * h_value(TraceNorm(), w.reshape(3, 3).T @ w.reshape(3, 3)), V.ravel())
-    assert_allclose(h_outer_grad(TraceNorm(), V).ravel(), ref, rtol=1e-6, atol=1e-8)
+    ref = fd_grad(lambda w: 0.5 * TraceNorm().h_value(w.reshape(3, 3).T @ w.reshape(3, 3)), V.ravel())
+    assert_allclose(TraceNorm().h_outer_grad(V).ravel(), ref, rtol=1e-6, atol=1e-8)
 
 
 # --------------------------------------------------------------------- prox
 
 def test_prox_scalar_shrinkage():
-    assert_allclose(prox(L1(), np.array([3.0]), 1.0), [2.0])
+    assert_allclose(L1().prox(np.array([3.0]), 1.0), [2.0])
 
 
 def test_prox_group_threshold_boundary():
     gs = GroupStructure([[0, 1]], 2)
-    assert_allclose(prox(GroupL2(gs), np.array([3.0, 4.0]), 5.0), [0.0, 0.0])
+    assert_allclose(GroupL2(gs).prox(np.array([3.0, 4.0]), 5.0), [0.0, 0.0])
 
 
 def test_prox_trace_diagonal_svt():
-    assert_allclose(prox(TraceNorm(), np.diag([3.0, 1.0]), 2.0), np.diag([1.0, 0.0]), atol=1e-12)
+    assert_allclose(TraceNorm().prox(np.diag([3.0, 1.0]), 2.0), np.diag([1.0, 0.0]), atol=1e-12)
 
 
 def test_prox_lq_unsupported():
     with pytest.raises(LqProxUnsupported):
-        prox(Lq(0.8), np.array([1.0]), 0.5)
+        Lq(0.8).prox(np.array([1.0]), 0.5)
 
 
 def test_prox_rejects_negative_tau():
     with pytest.raises(ValueError):
-        prox(L1(), np.array([1.0]), -0.1)
+        L1().prox(np.array([1.0]), -0.1)
+
+
+@pytest.mark.parametrize("reg, beta", [
+    (L1(), np.array([1.0, -0.05])),
+    (GroupL2(GroupStructure([[0, 1]], 2)), np.array([3.0, 4.0])),
+    (TraceNorm(), np.diag([3.0, 1.0])),
+])
+def test_prox_method_rejects_negative_tau(reg, beta):
+    with pytest.raises(ValueError):
+        reg.prox(beta, -0.1)
 
 
 @pytest.mark.parametrize("reg", [L1(), GroupL2(GroupStructure.contiguous(6, 2))])
 def test_prox_at_zero_tau_is_identity(reg):
     rng = np.random.default_rng(6)
     b = rng.standard_normal(6)
-    assert_allclose(prox(reg, b, 0.0), b)
+    assert_allclose(reg.prox(b, 0.0), b)
 
 
 def test_prox_trace_at_zero_tau_is_identity():
     rng = np.random.default_rng(7)
     B = rng.standard_normal((3, 4))
-    assert_allclose(prox(TraceNorm(), B, 0.0), B, atol=1e-12)
+    assert_allclose(TraceNorm().prox(B, 0.0), B, atol=1e-12)
 
 
 @settings(max_examples=50, deadline=None)
@@ -168,7 +238,7 @@ def test_prox_trace_at_zero_tau_is_identity():
 def test_prox_nonexpansive(a, b, tau):
     a, b = np.array(a), np.array(b)
     for reg in (L1(), GroupL2(GroupStructure.contiguous(6, 3))):
-        pa, pb = prox(reg, a, tau), prox(reg, b, tau)
+        pa, pb = reg.prox(a, tau), reg.prox(b, tau)
         assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-12
 
 
@@ -176,7 +246,7 @@ def test_prox_trace_nonexpansive():
     rng = np.random.default_rng(8)
     for _ in range(10):
         A, B = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
-        pa, pb = prox(TraceNorm(), A, 0.7), prox(TraceNorm(), B, 0.7)
+        pa, pb = TraceNorm().prox(A, 0.7), TraceNorm().prox(B, 0.7)
         assert np.linalg.norm(pa - pb) <= np.linalg.norm(A - B) + 1e-12
 
 
@@ -224,7 +294,7 @@ def test_variational_form_group_analytic_minimizer():
     reg = GroupL2(gs)
     b = rng.standard_normal(6)
     eta_star = gs.norms(b)
-    val = 0.5 * float(np.sum(gs.norms(b) ** 2 / eta_star)) + 0.5 * h_value(reg, eta_star)
+    val = 0.5 * float(np.sum(gs.norms(b) ** 2 / eta_star)) + 0.5 * reg.h_value(eta_star)
     assert_allclose(val, reg.r_value(b), rtol=1e-12)
 
 
@@ -234,7 +304,7 @@ def test_variational_form_lq_by_scalar_minimization(q):
     reg = Lq(q)
     for b in (0.3, 1.0, 2.7):
         res = scipy.optimize.minimize_scalar(
-            lambda e: 0.5 * b * b / e + 0.5 * h_value(reg, np.array([e])),
+            lambda e: 0.5 * b * b / e + 0.5 * reg.h_value(np.array([e])),
             bounds=(1e-9, 50.0),
             method="bounded",
             options={"xatol": 1e-12},
