@@ -15,10 +15,10 @@ import scipy.linalg
 import scipy.sparse
 
 from .lbfgs import LbfgsConfig, last_point_cache, minimize_box
-from .linalg import cg_solve, cholesky_solve, operator_norm_estimate, solve_spd
+from .linalg import Side, cg_solve, cholesky_solve, operator_norm_estimate, solve_spd, woodbury_side
 from .problems import BeckmannProblem, MultiTaskProblem, Problem, multitask_objective, primal_objective
 from .regularizers import GroupL2, L1
-from .varpro import eval_state, inner_solve_primal, recover_beta
+from .varpro import eval_state, recover_beta
 
 
 class StepConditionViolated(ValueError):
@@ -264,32 +264,43 @@ def irls_matrix(mt: MultiTaskProblem, lam: float | None = None, eps: float = 1e-
 def altmin_noncvx(prob: Problem, iters: int = 200, v0=None, budget_s=None) -> SolverTrace:
     """Exact alternating minimization of the split objective in u and v.
 
-    The u step is the ridge system at fixed v; the v step is a k x k ridge
-    system in the per-group mixing weights.  The joint objective is
-    monotone nonincreasing (recorded in aux["joint"]); starting at v = 0
-    stays at the saddle.
+    The u step is the inner ridge system at fixed v, solved by eval_state
+    on the side the shape picks.  The v step is the ridge problem in the
+    per-group weights whose design M = X diag(u), grouped to k columns, has
+    one row per entry of y; it too takes the smaller side.  The k side
+    solves (lam I + M^T M) v = M^T y, summing M^T M per group from the
+    cached Gram without forming M; the m side solves
+    v = M^T (lam I + M M^T)^{-1} y.  The joint objective is monotone
+    nonincreasing (recorded in aux["joint"]); starting at v = 0 stays at
+    the saddle.
     """
     if prob.lam <= 0:
         raise ValueError("alternating minimization needs lam > 0")
     groups = prob.groups
-    k = groups.k
+    k, n = groups.k, prob.n
     v = np.ones(k) if v0 is None else np.asarray(v0, float).copy()
     lam, y = prob.lam, prob.y
     X = prob.X.toarray() if scipy.sparse.issparse(prob.X) else np.asarray(prob.X, float)
+    k_side = woodbury_side(y.size, k) is Side.PRIMAL_N
+    Xty = (X.T @ y).reshape(n, -1)
     tr = SolverTrace("altmin", config={"iters": iters})
     t0 = time.perf_counter()
-    u = np.zeros((prob.n,) if y.ndim == 1 else (prob.n, y.shape[1]))
+    u = np.zeros((n,) if y.ndim == 1 else (n, y.shape[1]))
     beta = recover_beta(prob, v, u=u)
     joint = []
     tr.record(0, 0.0, primal_objective(prob, beta))
     for it in range(1, iters + 1):
         if _over(t0, budget_s):
             break
-        u = inner_solve_primal(prob, v)
-        # v step: residual is sum_g v_g (X_g u_g); ridge in v
-        M = groups.sum_groups(X.T[:, :, None] * u.reshape(prob.n, 1, -1)).reshape(k, -1).T
-        rhs = M.T @ y.ravel()
-        v = solve_spd(lam * np.eye(k) + M.T @ M, rhs)
+        u = eval_state(prob, v).u
+        U = u.reshape(n, -1)
+        if k_side:
+            MtM = groups.sum_groups(groups.sum_groups(prob.gram * (U @ U.T)).T)
+            v = solve_spd(lam * np.eye(k) + MtM, groups.sum_groups(np.sum(U * Xty, axis=1)))
+        else:
+            # residual is sum_g v_g (X_g u_g): column g of M stacks X_g u_g over y's columns
+            M = groups.sum_groups(X.T[:, :, None] * U[:, None, :]).reshape(k, -1).T
+            v = M.T @ solve_spd(lam * np.eye(y.size) + M @ M.T, y.ravel())
         beta = recover_beta(prob, v, u=u)
         resid = X @ beta - y
         joint.append(0.5 * float(v @ v) + 0.5 * float(np.sum(u * u))

@@ -98,6 +98,12 @@ class Problem:
         """The regularizer's group structure, built on first read and kept."""
         return self.reg.groups_for(self.n)
 
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """Dense X^T X, formed on first read (the n-sized solves) and kept."""
+        X = self.X.toarray() if scipy.sparse.issparse(self.X) else self.X
+        return X.T @ X
+
 
 @dataclass
 class MultiTaskProblem:

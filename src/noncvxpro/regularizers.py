@@ -167,11 +167,10 @@ class GroupL2(Regularizer):
     def prox(self, beta, tau: float):
         _check_tau(tau)
         beta = np.asarray(beta, dtype=float)
-        out = beta.copy()
-        for g in self.groups.groups:
-            nrm = np.linalg.norm(beta[g])
-            out[g] = 0.0 if nrm <= tau else (1.0 - tau / nrm) * beta[g]
-        return out
+        nrm = self.groups.norms(beta)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale = self.groups.expand(np.where(nrm > tau, 1.0 - tau / nrm, 0.0))
+        return scale * beta if beta.ndim == 1 else scale[:, None] * beta
 
     def r_value(self, beta) -> float:
         return float(self.groups.norms(beta).sum())

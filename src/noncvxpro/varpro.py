@@ -83,7 +83,10 @@ def _scale_rows(w: np.ndarray, M: np.ndarray) -> np.ndarray:
 def inner_solve_primal(prob: Problem, v: np.ndarray) -> np.ndarray:
     """Solve (diag(vbar) X^T X diag(vbar) + lam I) u = vbar (x) X^T y.
 
-    Requires lam > 0 (the system matrix is otherwise only semidefinite).
+    Up to DENSE_DIRECT_MAX the matrix is the cached Gram prob.gram times
+    vbar vbar^T, n^2 work per call and exactly symmetric; larger systems
+    run CG on matvecs with X and never form an n x n matrix.  Requires
+    lam > 0 (the system matrix is otherwise only semidefinite).
     """
     if prob.lam <= 0:
         raise ValueError("primal inner solve needs lam > 0")
@@ -92,11 +95,8 @@ def inner_solve_primal(prob: Problem, v: np.ndarray) -> np.ndarray:
     rhs = _scale_rows(vbar, np.asarray(X.T @ prob.y, dtype=float))
     n = prob.n
     if n <= DENSE_DIRECT_MAX:
-        Xv = X.multiply(vbar) if scipy.sparse.issparse(X) else X * vbar
-        G = Xv.T @ Xv
-        if scipy.sparse.issparse(G):
-            G = G.toarray()
-        G = np.asarray(G) + prob.lam * np.eye(n)
+        G = prob.gram * np.outer(vbar, vbar)
+        G.flat[:: n + 1] += prob.lam
         return solve_spd(G, rhs)
 
     def apply(w):

@@ -214,6 +214,47 @@ def test_altmin_joint_objective_monotone():
         assert j1 <= j0 + 1e-10 * (1.0 + abs(j0))
 
 
+def _v_step_through_m(prob, u):
+    """The v step through the explicit m x k design M (the reference)."""
+    groups = prob.groups
+    M = groups.sum_groups(dense(prob.X).T[:, :, None] * u.reshape(prob.n, 1, -1)).reshape(groups.k, -1).T
+    return np.linalg.solve(prob.lam * np.eye(groups.k) + M.T @ M, M.T @ prob.y.ravel())
+
+
+def _altmin_instance(shape, cols):
+    rng = np.random.default_rng(20 + cols)
+    if shape == "tall group":  # k = 4 < m: the k side
+        m, n, reg = 30, 12, GroupL2(GroupStructure.contiguous(12, 4))
+    else:  # wide L1, k = n = 30 > m: the m side
+        m, n, reg = 10, 30, L1()
+    X = rng.standard_normal((m, n))
+    y = rng.standard_normal(m if cols == 1 else (m, cols))
+    return Problem(X, y, lambda_max(X, y, reg) / 5.0, reg), rng
+
+
+@pytest.mark.parametrize("cols", [1, 2])
+@pytest.mark.parametrize("shape", ["tall group", "wide L1"])
+def test_altmin_v_step_sides_match_the_explicit_design(shape, cols):
+    prob, rng = _altmin_instance(shape, cols)
+    v0 = rng.standard_normal(prob.groups.k)
+    v0[0] = 0.0
+    tr = altmin_noncvx(prob, iters=3, v0=v0)
+    ref = _v_step_through_m(prob, tr.aux["u"])
+    assert np.linalg.norm(tr.aux["v"] - ref) <= 1e-12 * np.linalg.norm(ref)
+    # only the tall instance's n-sized u step and k-sided v step read the Gram
+    assert ("gram" in vars(prob)) is (shape == "tall group")
+
+
+def test_altmin_joint_objective_monotone_on_wide_design():
+    rng = np.random.default_rng(9)
+    X, y = rng.standard_normal((20, 60)), rng.standard_normal(20)
+    prob = Problem(X, y, lambda_max(X, y, L1()) / 10.0, L1())
+    joint = altmin_noncvx(prob, iters=100).aux["joint"]
+    assert "gram" not in vars(prob)  # both steps took the m side
+    for j0, j1 in zip(joint, joint[1:]):
+        assert j1 <= j0 + 1e-10 * (1.0 + abs(j0))
+
+
 # ----------------------------------------------------- convex reformulation
 
 def test_quad_variational_scalar_anchor():

@@ -1,4 +1,5 @@
-"""Hot-path counts of one solve: one inner evaluation per oracle call, no group builds."""
+"""Hot-path counts of one solve: one inner evaluation per oracle call, no group builds,
+and the Gram matrix formed only on the n-sized route."""
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ def test_solve_evaluates_once_per_oracle_call(monkeypatch, problem, reg, groups)
     monkeypatch.setattr(GroupStructure, "__init__", counting_init)
     tr = run_noncvxpro(prob, seed=3)
     monkeypatch.undo()
+    assert ("gram" in vars(prob)) is (prob.m > prob.n)  # the n x n Gram only on the n-sized route
     res = tr.aux["result"]
     assert res.iterations > 5
     assert len(evals) == res.nfev

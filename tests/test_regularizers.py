@@ -192,6 +192,27 @@ def test_prox_group_threshold_boundary():
     assert_allclose(GroupL2(gs).prox(np.array([3.0, 4.0]), 5.0), [0.0, 0.0])
 
 
+@settings(max_examples=100, deadline=None)
+@given(partitions(), st.integers(0, 3), st.integers(0, 2**32 - 1),
+       st.one_of(st.floats(0, 3), st.integers(0, 11)))
+def test_group_prox_matches_per_group_loop(part, cols, seed, tau):
+    # an integer tau puts the threshold at that group's exact norm
+    groups, n = part
+    gs = GroupStructure(groups, n)
+    rng = np.random.default_rng(seed)
+    beta = rng.standard_normal((n,) if cols == 0 else (n, cols))
+    if isinstance(tau, int):
+        tau = float(gs.norms(beta)[tau % len(groups)])
+    out = GroupL2(gs).prox(beta, tau)
+    assert out.shape == beta.shape
+    for g, nrm in zip(groups, gs.norms(beta)):
+        loop_nrm = np.sqrt(np.sum(beta[g] ** 2))
+        ref = 0.0 * beta[g] if loop_nrm <= tau else (1.0 - tau / loop_nrm) * beta[g]
+        assert np.all(np.abs(out[g] - ref) <= 1e-14 * loop_nrm)
+        if nrm <= tau:
+            assert np.all(out[g] == 0.0)
+
+
 def test_prox_trace_diagonal_svt():
     assert_allclose(TraceNorm().prox(np.diag([3.0, 1.0]), 2.0), np.diag([1.0, 0.0]), atol=1e-12)
 

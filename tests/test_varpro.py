@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
 from numpy.testing import assert_allclose
 
 from noncvxpro import varpro
@@ -48,6 +49,30 @@ def test_primal_solve_residual():
     A = np.diag(vbar) @ prob.X.T @ prob.X @ np.diag(vbar) + prob.lam * np.eye(6)
     rhs = vbar * (prob.X.T @ prob.y)
     assert np.linalg.norm(A @ u - rhs) <= 1e-10 * (1.0 + np.linalg.norm(rhs))
+
+
+@pytest.mark.parametrize("layout", ["dense", "sparse", "two-column"])
+def test_primal_solve_matches_explicit_weighted_gram(layout):
+    # the cached-Gram system is diag(vbar) X^T X diag(vbar) + lam I, also at
+    # v with exact zeros and entries whose products underflow
+    rng = np.random.default_rng(11)
+    m, n, k = 40, 12, 6
+    X = rng.standard_normal((m, n))
+    if layout == "sparse":
+        X[rng.random((m, n)) < 0.7] = 0.0
+        X = scipy.sparse.csr_matrix(X)
+    y = rng.standard_normal((m, 2) if layout == "two-column" else m)
+    reg = GroupL2(GroupStructure.contiguous(n, k))
+    prob = Problem(X, y, lambda_max(X, y, reg) / 5.0, reg)
+    v = rng.standard_normal(k)
+    v[1], v[4] = 0.0, 1e-200
+    Xd = X.toarray() if layout == "sparse" else X
+    vbar = prob.groups.expand(v)
+    A = np.diag(vbar) @ Xd.T @ Xd @ np.diag(vbar) + prob.lam * np.eye(n)
+    ref = np.linalg.solve(A, (vbar if y.ndim == 1 else vbar[:, None]) * (Xd.T @ y))
+    u = inner_solve_primal(prob, v)
+    assert np.linalg.norm(u - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert prob.gram is prob.gram
 
 
 def test_primal_solve_needs_positive_lambda():
