@@ -15,7 +15,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .lbfgs import LbfgsConfig, last_point_cache, minimize_box
-from .linalg import Side, cg_solve, cholesky_solve, operator_norm_estimate, solve_spd, woodbury_side
+from .linalg import DENSE_DIRECT_MAX, Side, cg_solve, cholesky_solve, operator_norm_estimate, solve_spd, woodbury_side
 from .problems import BeckmannProblem, MultiTaskProblem, Problem, multitask_objective, primal_objective
 from .regularizers import GroupL2, L1
 from .varpro import eval_state, recover_beta
@@ -267,10 +267,11 @@ def altmin_noncvx(prob: Problem, iters: int = 200, v0=None, budget_s=None) -> So
     The u step is the inner ridge system at fixed v, solved by eval_state
     on the side the shape picks.  The v step is the ridge problem in the
     per-group weights whose design M = X diag(u), grouped to k columns, has
-    one row per entry of y; it too takes the smaller side.  The k side
-    solves (lam I + M^T M) v = M^T y, summing M^T M per group from the
-    cached Gram without forming M; the m side solves
-    v = M^T (lam I + M M^T)^{-1} y.  The joint objective is monotone
+    one row per entry of y; it too takes the smaller side, solving
+    (lam I + M^T M) v = M^T y on the k side and v = M^T (lam I + M M^T)^{-1} y
+    on the m side.  Where the u step reads the cached Gram (n < m, dense),
+    M^T M is summed per group from it without forming M, which stays fast
+    once u decays into subnormals.  The joint objective is monotone
     nonincreasing (recorded in aux["joint"]); starting at v = 0 stays at
     the saddle.
     """
@@ -281,8 +282,10 @@ def altmin_noncvx(prob: Problem, iters: int = 200, v0=None, budget_s=None) -> So
     v = np.ones(k) if v0 is None else np.asarray(v0, float).copy()
     lam, y = prob.lam, prob.y
     X = prob.X.toarray() if scipy.sparse.issparse(prob.X) else np.asarray(prob.X, float)
+    # the Gram is read only where the u step forms it anyway; then k <= n < m
+    gram_side = woodbury_side(prob.m, n) is Side.PRIMAL_N and n <= DENSE_DIRECT_MAX
     k_side = woodbury_side(y.size, k) is Side.PRIMAL_N
-    Xty = (X.T @ y).reshape(n, -1)
+    Xty = (X.T @ y).reshape(n, -1) if gram_side else None
     tr = SolverTrace("altmin", config={"iters": iters})
     t0 = time.perf_counter()
     u = np.zeros((n,) if y.ndim == 1 else (n, y.shape[1]))
@@ -294,13 +297,16 @@ def altmin_noncvx(prob: Problem, iters: int = 200, v0=None, budget_s=None) -> So
             break
         u = eval_state(prob, v).u
         U = u.reshape(n, -1)
-        if k_side:
+        if gram_side:
             MtM = groups.sum_groups(groups.sum_groups(prob.gram * (U @ U.T)).T)
             v = solve_spd(lam * np.eye(k) + MtM, groups.sum_groups(np.sum(U * Xty, axis=1)))
         else:
             # residual is sum_g v_g (X_g u_g): column g of M stacks X_g u_g over y's columns
             M = groups.sum_groups(X.T[:, :, None] * U[:, None, :]).reshape(k, -1).T
-            v = M.T @ solve_spd(lam * np.eye(y.size) + M @ M.T, y.ravel())
+            if k_side:
+                v = solve_spd(lam * np.eye(k) + M.T @ M, M.T @ y.ravel())
+            else:
+                v = M.T @ solve_spd(lam * np.eye(y.size) + M @ M.T, y.ravel())
         beta = recover_beta(prob, v, u=u)
         resid = X @ beta - y
         joint.append(0.5 * float(v @ v) + 0.5 * float(np.sum(u * u))

@@ -169,7 +169,7 @@ class GroupL2(Regularizer):
         beta = np.asarray(beta, dtype=float)
         nrm = self.groups.norms(beta)
         with np.errstate(divide="ignore", invalid="ignore"):
-            scale = self.groups.expand(np.where(nrm > tau, 1.0 - tau / nrm, 0.0))
+            scale = self.groups.expand(np.where(nrm <= tau, 0.0, 1.0 - tau / nrm))
         return scale * beta if beta.ndim == 1 else scale[:, None] * beta
 
     def r_value(self, beta) -> float:

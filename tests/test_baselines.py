@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from noncvxpro import baselines, varpro
 from noncvxpro.baselines import (
     StepConditionViolated,
     _AffineProjector,
@@ -223,8 +224,10 @@ def _v_step_through_m(prob, u):
 
 def _altmin_instance(shape, cols):
     rng = np.random.default_rng(20 + cols)
-    if shape == "tall group":  # k = 4 < m: the k side
+    if shape == "tall group":  # k = 4 < m: the k side, from the Gram
         m, n, reg = 30, 12, GroupL2(GroupStructure.contiguous(12, 4))
+    elif shape == "wide group":  # k = 6 < m < n: the k side, through M
+        m, n, reg = 20, 60, GroupL2(GroupStructure.contiguous(60, 6))
     else:  # wide L1, k = n = 30 > m: the m side
         m, n, reg = 10, 30, L1()
     X = rng.standard_normal((m, n))
@@ -233,7 +236,7 @@ def _altmin_instance(shape, cols):
 
 
 @pytest.mark.parametrize("cols", [1, 2])
-@pytest.mark.parametrize("shape", ["tall group", "wide L1"])
+@pytest.mark.parametrize("shape", ["tall group", "wide group", "wide L1"])
 def test_altmin_v_step_sides_match_the_explicit_design(shape, cols):
     prob, rng = _altmin_instance(shape, cols)
     v0 = rng.standard_normal(prob.groups.k)
@@ -241,8 +244,20 @@ def test_altmin_v_step_sides_match_the_explicit_design(shape, cols):
     tr = altmin_noncvx(prob, iters=3, v0=v0)
     ref = _v_step_through_m(prob, tr.aux["u"])
     assert np.linalg.norm(tr.aux["v"] - ref) <= 1e-12 * np.linalg.norm(ref)
-    # only the tall instance's n-sized u step and k-sided v step read the Gram
+    # only the tall instance's n-sized dense u step forms the Gram, and only
+    # then does the v step read it; a wide design never pays its n x n memory
     assert ("gram" in vars(prob)) is (shape == "tall group")
+
+
+def test_altmin_past_the_dense_limit_never_forms_the_gram(monkeypatch):
+    # the n-sized u step runs CG, so the k-sided v step goes through M
+    monkeypatch.setattr(varpro, "DENSE_DIRECT_MAX", 0)
+    monkeypatch.setattr(baselines, "DENSE_DIRECT_MAX", 0)
+    prob, rng = _altmin_instance("tall group", 1)
+    tr = altmin_noncvx(prob, iters=3, v0=rng.standard_normal(prob.groups.k))
+    ref = _v_step_through_m(prob, tr.aux["u"])
+    assert np.linalg.norm(tr.aux["v"] - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert "gram" not in vars(prob)
 
 
 def test_altmin_joint_objective_monotone_on_wide_design():

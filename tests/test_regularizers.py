@@ -213,6 +213,16 @@ def test_group_prox_matches_per_group_loop(part, cols, seed, tau):
             assert np.all(out[g] == 0.0)
 
 
+@pytest.mark.parametrize("reg, nan_head", [
+    (L1(), [True, False]),
+    (GroupL2(GroupStructure.contiguous(4, 2)), [True, True]),  # the whole group
+])
+def test_prox_propagates_nan(reg, nan_head):
+    # a diverging iterate must stay visible, not be thresholded to zero
+    out = reg.prox(np.array([np.nan, 1.0, 3.0, 4.0]), 1.0)
+    assert_array_equal(np.isnan(out[:2]), nan_head)
+    assert_array_equal(out[2:], reg.prox(np.array([0.0, 1.0, 3.0, 4.0]), 1.0)[2:])
+
 def test_prox_trace_diagonal_svt():
     assert_allclose(TraceNorm().prox(np.diag([3.0, 1.0]), 2.0), np.diag([1.0, 0.0]), atol=1e-12)
 
