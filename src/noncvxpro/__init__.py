@@ -3,10 +3,8 @@
 __version__ = "0.1.0"
 
 from .linalg import (
-    SpdSolveReport,
     Side,
     cholesky_solve,
-    cg_solve,
     operator_norm_estimate,
     woodbury_side,
 )

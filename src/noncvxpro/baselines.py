@@ -11,11 +11,10 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
 from .lbfgs import LbfgsConfig, last_point_cache, minimize_box
-from .linalg import DENSE_DIRECT_MAX, Side, cg_solve, cholesky_solve, operator_norm_estimate, solve_spd, woodbury_side
+from .linalg import DENSE_DIRECT_MAX, Side, cholesky_solve, operator_norm_estimate, range_solver, solve_spd, woodbury_side
 from .problems import BeckmannProblem, MultiTaskProblem, Problem, multitask_objective, primal_objective
 from .regularizers import GroupL2, L1
 from .varpro import eval_state, recover_beta
@@ -421,29 +420,17 @@ def _as_constrained(prob) -> Problem:
 class _AffineProjector:
     """Projection onto {beta : X beta = y}; factor X X^T once, reuse.
 
-    Graph divergence matrices give a singular Laplacian (constant kernel),
-    where the Cholesky factorization fails and the solve falls back to CG,
-    which stays on the range because the right-hand sides sum to zero.
+    The factor is linalg.range_solver's, so a singular X X^T (the graph
+    Laplacian of a divergence matrix, whose kernel is the constants) is
+    solved on its range, and a y that X cannot reach raises
+    InconsistentSystem instead of returning an infeasible point.
     """
 
     def __init__(self, X, y):
         self.X = X
         self.y = y
         K = (X @ X.T).toarray() if scipy.sparse.issparse(X) else X @ X.T
-        self.K = np.asarray(K, float)
-        try:
-            factor = scipy.linalg.cho_factor(self.K, lower=True, check_finite=False)
-            d = np.diag(factor[0])
-            # a tiny pivot means numerically singular; the huge kernel
-            # component such a factor produces is unsafe, go iterative
-            self._factor = factor if d.min() ** 2 > 1e-12 * d.max() ** 2 else None
-        except scipy.linalg.LinAlgError:
-            self._factor = None
-
-    def _solve(self, rhs):
-        if self._factor is not None:
-            return scipy.linalg.cho_solve(self._factor, rhs, check_finite=False)
-        return cg_solve(lambda w: self.K @ w, rhs, tol=1e-13).x
+        self._solve = range_solver(K)
 
     def __call__(self, beta):
         resid = self.y - np.asarray(self.X @ beta)

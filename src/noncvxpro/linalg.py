@@ -1,10 +1,11 @@
 """SPD linear solvers, operator norm estimation, and system-side selection.
 
 Every outer solver in this package reduces its inner work to symmetric
-positive (semi)definite systems.  This module provides the two solve
-strategies (direct Cholesky, conjugate gradient), a power-iteration
-spectral norm estimate for step-size conditions, and the rule that picks
-between the m-sized and n-sized inner system.
+positive (semi)definite systems.  This module provides their solves
+(direct Cholesky, a checked minimum-norm solve on the range of a singular
+matrix, conjugate gradient), a power-iteration spectral norm estimate for
+step-size conditions, and the rule that picks between the m-sized and
+n-sized inner system.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 # Systems at or below this dimension, when materialized dense, are solved
-# by a direct Cholesky factorization; anything larger falls back to CG.
+# directly (Cholesky, or range_solver if singular); anything larger by CG.
 DENSE_DIRECT_MAX = 2000
 
 # Default relative residual target for iterative solves.
@@ -39,8 +40,8 @@ class NonFiniteEncountered(FloatingPointError):
 class InconsistentSystem(ValueError):
     """A singular system has no solution: b is not in the range of A.
 
-    Raised when CG stalls above a 1e-7 relative residual, and by the lam = 0
-    multiplier solve when y is not reachable.
+    Raised by the range solve when ||A x - b|| > 1e-7 (1 + ||b||), and
+    when CG stalls above a 1e-7 relative residual.
     """
 
 
@@ -238,11 +239,11 @@ def woodbury_side(m: int, n: int, lam: float | None = None) -> Side:
 def solve_spd(A, b: np.ndarray, tol: float = CG_TOL) -> np.ndarray:
     """Solve an SPD system, choosing the strategy by size and form.
 
-    Dense matrices of dimension <= DENSE_DIRECT_MAX go through Cholesky
-    (with a CG fallback if the factorization finds a nonpositive pivot,
-    which happens for semidefinite systems on the lam = 0 path).  Callables
-    and larger systems go through CG, which raises InconsistentSystem
-    rather than return an inexact answer.
+    Dense matrices of dimension <= DENSE_DIRECT_MAX go through Cholesky,
+    and through range_solver if the factorization finds a nonpositive
+    pivot, as consistent semidefinite systems at lam = 0 do.  Callables and larger
+    systems go through CG.  Both fallbacks raise InconsistentSystem rather
+    than return an inexact answer.
 
     Parameters
     ----------
@@ -259,8 +260,31 @@ def solve_spd(A, b: np.ndarray, tol: float = CG_TOL) -> np.ndarray:
         try:
             return cholesky_solve(A, b)
         except NotSpd:
-            pass
+            return range_solver(A)(b)
     return _cg_columns(lambda w: A @ w, b, tol)
+
+
+def range_solver(A: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Factor a dense symmetric PSD matrix once by eigh; return solve(b).
+
+    Eigenvalues at or below 1e-13 of the largest count as zero, and
+    solve(b) returns the minimum-norm solution for a vector or matrix b.
+    It raises InconsistentSystem when ||A x - b|| > 1e-7 (1 + ||b||), that
+    is when b is not in the range of A.
+    """
+    A = np.asarray(A, dtype=float)
+    evals, V = np.linalg.eigh(A)
+    cut = 1e-13 * max(evals.max(), np.finfo(float).tiny)
+    inv = np.where(evals > cut, 1.0 / np.where(evals > cut, evals, 1.0), 0.0)
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        coef = V.T @ b
+        x = V @ (inv * coef if coef.ndim == 1 else inv[:, None] * coef)
+        if np.linalg.norm(A @ x - b) > 1e-7 * (1.0 + np.linalg.norm(b)):
+            raise InconsistentSystem("b is not in the range of A")
+        return x
+
+    return solve
 
 
 def _cg_columns(apply_A, b: np.ndarray, tol: float) -> np.ndarray:

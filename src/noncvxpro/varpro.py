@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse
 
-from .linalg import DENSE_DIRECT_MAX, InconsistentSystem, NotSpd, Side, cholesky_solve, solve_spd, woodbury_side
+from .linalg import DENSE_DIRECT_MAX, InconsistentSystem, Side, cholesky_solve, solve_spd, woodbury_side
 from .problems import MultiTaskProblem, Problem
 from .regularizers import GroupL2, L1
 
@@ -117,33 +117,16 @@ def _dual_matrix(prob: Problem, vbar2: np.ndarray) -> np.ndarray:
 def inner_solve_dual(prob: Problem, v: np.ndarray) -> np.ndarray:
     """Solve (X diag(vbar^2) X^T + lam I) alpha = -y.
 
-    At lam = 0 the matrix can be singular; the solve falls back to an
-    eigenvalue-cutoff pseudo-solve (or CG from zero for operators), and an
-    unreachable right-hand side raises InconsistentSystem.
+    At lam = 0 the matrix can be singular; solve_spd then takes the
+    minimum-norm solution on its range (or runs CG from zero for
+    operators), and an unreachable y raises InconsistentSystem.
     """
     vbar = prob.groups.expand(v)
     vbar2 = vbar * vbar
     y = prob.y
     m = prob.m
     if m <= DENSE_DIRECT_MAX:
-        K = _dual_matrix(prob, vbar2) + prob.lam * np.eye(m)
-        if prob.lam > 0:
-            return solve_spd(K, -y)
-        try:
-            return cholesky_solve(K, -y)
-        except NotSpd:
-            pass
-        evals, V = np.linalg.eigh(K)
-        cut = 1e-13 * max(evals.max(), np.finfo(float).tiny)
-        inv = np.where(evals > cut, 1.0 / np.where(evals > cut, evals, 1.0), 0.0)
-        coef = _scale_rows(inv, V.T @ (-y))
-        alpha = V @ coef
-        resid = np.linalg.norm(K @ alpha + y)
-        if resid > 1e-7 * (1.0 + np.linalg.norm(y)):
-            raise InconsistentSystem(
-                "y is not reachable with the current support of v"
-            )
-        return alpha
+        return solve_spd(_dual_matrix(prob, vbar2) + prob.lam * np.eye(m), -y)
 
     X = prob.X
 

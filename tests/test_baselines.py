@@ -20,6 +20,7 @@ from noncvxpro.baselines import (
     quad_variational,
     split_box_lasso,
 )
+from noncvxpro.linalg import InconsistentSystem
 from noncvxpro.problems import (
     BeckmannProblem,
     MultiTaskProblem,
@@ -401,6 +402,27 @@ def test_affine_projector_idempotent_and_feasible():
     z = rng.standard_normal(7)
     p1 = proj(z)
     assert np.linalg.norm(X @ p1 - y) <= 1e-12 * (1.0 + np.linalg.norm(y))
+    assert_allclose(proj(p1), p1, atol=1e-12)
+
+
+def test_affine_projector_raises_on_unreachable_y():
+    # X X^T = [[2, 2], [2, 2]] is singular and y = (1, 2) is off its range:
+    # no beta satisfies X beta = y, so the projector must not return one
+    proj = _AffineProjector(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0]]), np.array([1.0, 2.0]))
+    with pytest.raises(InconsistentSystem):
+        proj(np.zeros(3))
+
+
+def test_affine_projector_on_path_flow_laplacian():
+    # a path's incidence gives X X^T = its graph Laplacian, singular with
+    # the constants as kernel; the divergence y sums to zero, so it is reachable
+    p = path_flow_problem().to_problem()
+    X = dense(p.X)
+    assert np.linalg.matrix_rank(X @ X.T) == X.shape[0] - 1
+    proj = _AffineProjector(p.X, p.y)
+    z = np.random.default_rng(13).standard_normal(p.n)
+    p1 = proj(z)
+    assert np.linalg.norm(X @ p1 - p.y) <= 1e-12 * (1.0 + np.linalg.norm(p.y))
     assert_allclose(proj(p1), p1, atol=1e-12)
 
 

@@ -1,5 +1,7 @@
 """Linear algebra kernels: SPD solves, norm estimation, side selection."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -13,6 +15,7 @@ from noncvxpro.linalg import (
     cg_solve,
     cholesky_solve,
     operator_norm_estimate,
+    range_solver,
     solve_spd,
     woodbury_side,
 )
@@ -126,6 +129,63 @@ def test_solve_spd_operator_matches_cholesky_columnwise():
     A = M.T @ M + np.eye(12)
     b = rng.standard_normal((12, 3))
     assert_allclose(solve_spd(lambda w: A @ w, b), cholesky_solve(A, b), rtol=1e-8, atol=1e-10)
+
+
+@pytest.fixture
+def no_warnings():
+    # the singular path must not lean on a division by zero or an invalid value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
+
+
+def eigh_pseudo_solve(A, b):
+    # the eigenvalue-cutoff formula the lam = 0 dual solve carried before
+    # range_solver took it over, kept as the reference
+    evals, V = np.linalg.eigh(A)
+    cut = 1e-13 * max(evals.max(), np.finfo(float).tiny)
+    inv = np.where(evals > cut, 1.0 / np.where(evals > cut, evals, 1.0), 0.0)
+    coef = V.T @ b
+    return V @ (inv * coef if coef.ndim == 1 else inv[:, None] * coef)
+
+
+def test_range_solver_matches_eigh_reference(no_warnings):
+    # a rank-5 PSD matrix of order 8, with one and two consistent right-hand sides
+    rng = np.random.default_rng(9)
+    M = rng.standard_normal((8, 5))
+    A = M @ M.T
+    solve = range_solver(A)
+    for b in (A @ rng.standard_normal(8), A @ rng.standard_normal((8, 2))):
+        x, ref = solve(b), eigh_pseudo_solve(A, b)
+        assert x.shape == b.shape
+        assert np.abs(x - ref).max() <= 1e-14 * (1.0 + np.abs(ref).max())
+        assert np.linalg.norm(A @ x - b) <= 1e-10 * (1.0 + np.linalg.norm(b))
+
+
+def test_range_solver_returns_minimum_norm_solution(no_warnings):
+    # A = [[1, 1], [1, 1]] maps (1, 1) and (2, 0) alike to (2, 2); the
+    # minimum-norm solution is the one orthogonal to the kernel (1, -1)
+    A = np.ones((2, 2))
+    assert_allclose(range_solver(A)(np.array([2.0, 2.0])), [1.0, 1.0], atol=1e-14)
+    assert_allclose(range_solver(np.zeros((2, 2)))(np.zeros(2)), [0.0, 0.0])
+
+
+def test_range_solver_raises_on_unreachable_rhs(no_warnings):
+    solve = range_solver(np.ones((2, 2)))
+    with pytest.raises(InconsistentSystem):
+        solve(np.array([1.0, 2.0]))
+    with pytest.raises(InconsistentSystem):
+        solve(np.array([[2.0, 1.0], [2.0, 2.0]]))  # the second column is unreachable
+    with pytest.raises(InconsistentSystem):
+        range_solver(np.zeros((2, 2)))(np.ones(2))
+
+
+def test_solve_spd_dense_singular_system(no_warnings):
+    # Cholesky fails on diag(1, 0); the range solve takes over and checks
+    A = np.diag([1.0, 0.0])
+    assert_allclose(solve_spd(A, np.array([2.0, 0.0])), [2.0, 0.0], atol=1e-14)
+    with pytest.raises(InconsistentSystem):
+        solve_spd(A, np.array([1.0, 1.0]))
 
 
 def test_opnorm_identity():
