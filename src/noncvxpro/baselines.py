@@ -7,6 +7,7 @@ benchmark harness.  Every solver returns a SolverTrace of per-iteration
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -16,7 +17,7 @@ import scipy.sparse
 from .lbfgs import LbfgsConfig, last_point_cache, minimize_box
 from .linalg import DENSE_DIRECT_MAX, Side, cholesky_solve, operator_norm_estimate, range_solver, solve_spd, woodbury_side
 from .problems import BeckmannProblem, MultiTaskProblem, Problem, multitask_objective, primal_objective
-from .regularizers import GroupL2, L1
+from .regularizers import GroupL2, L1, _shrink
 from .varpro import eval_state, recover_beta
 
 
@@ -69,7 +70,7 @@ def ista(prob: Problem, beta0=None, step=None, iters: int = 500, budget_s=None) 
     if prob.lam <= 0:
         raise ValueError("ista needs lam > 0")
     X, y, lam = prob.X, prob.y, prob.lam
-    beta = np.zeros(prob.n) if beta0 is None else np.asarray(beta0, float).copy()
+    beta = np.zeros((prob.n,) + y.shape[1:]) if beta0 is None else np.asarray(beta0, float).copy()
     if step is None:
         step = lam / _spectral_norm(X) ** 2
     tr = SolverTrace("ista", config={"step": step, "iters": iters})
@@ -101,7 +102,7 @@ def fista_bb_restart(prob: Problem, beta0=None, iters: int = 500, budget_s=None)
     def smooth_grad(b):
         return np.asarray(X.T @ (X @ b - y)) / lam
 
-    beta = np.zeros(prob.n) if beta0 is None else np.asarray(beta0, float).copy()
+    beta = np.zeros((prob.n,) + y.shape[1:]) if beta0 is None else np.asarray(beta0, float).copy()
     z = beta.copy()
     prev_beta = beta.copy()
     prev_grad = None
@@ -117,8 +118,8 @@ def fista_bb_restart(prob: Problem, beta0=None, iters: int = 500, budget_s=None)
         if prev_grad is not None:
             s = z - prev_z
             yg = gz - prev_grad
-            sy = float(s @ yg)
-            step = float(s @ s) / sy if sy > 0 else safe
+            sy = float(np.vdot(s, yg))
+            step = float(np.vdot(s, s)) / sy if sy > 0 else safe
             step = min(max(step, lo), hi)
         else:
             step = safe
@@ -140,11 +141,6 @@ def fista_bb_restart(prob: Problem, beta0=None, iters: int = 500, budget_s=None)
     return tr
 
 
-def _block_soft(z: np.ndarray, tau: float) -> np.ndarray:
-    nrm = np.linalg.norm(z)
-    return np.zeros_like(z) if nrm <= tau else (1.0 - tau / nrm) * z
-
-
 def coordinate_descent_lasso(prob: Problem, iters: int = 1000, tol: float = 1e-10, budget_s=None) -> SolverTrace:
     """Cyclic block coordinate descent with a duality-gap certificate.
 
@@ -154,7 +150,7 @@ def coordinate_descent_lasso(prob: Problem, iters: int = 1000, tol: float = 1e-1
     """
     if prob.lam <= 0:
         raise ValueError("coordinate descent needs lam > 0")
-    if not isinstance(prob.reg, (L1, GroupL2)):
+    if not isinstance(prob.reg, GroupL2):
         raise ValueError("coordinate descent covers the group family only")
     X, y, lam = prob.X, prob.y, prob.lam
     groups = prob.groups
@@ -164,8 +160,7 @@ def coordinate_descent_lasso(prob: Problem, iters: int = 1000, tol: float = 1e-1
         Xg = X[:, g].toarray() if scipy.sparse.issparse(X) else np.asarray(X, float)[:, g]
         cols.append(Xg)
         lips.append(float(np.linalg.norm(Xg, 2) ** 2))
-    shape = (prob.n,) if y.ndim == 1 else (prob.n, y.shape[1])
-    beta = np.zeros(shape)
+    beta = np.zeros((prob.n,) + y.shape[1:])
     r = y.copy()  # r = y - X beta
     tr = SolverTrace("cd", config={"iters": iters, "tol": tol})
     t0 = time.perf_counter()
@@ -179,10 +174,11 @@ def coordinate_descent_lasso(prob: Problem, iters: int = 1000, tol: float = 1e-1
             if Lg == 0.0:
                 continue
             Xg = cols[gid]
-            z = beta[g] + Xg.T @ r / Lg
-            new = _block_soft(z, lam / Lg)
-            delta = new - beta[g]
-            if np.any(delta):
+            bg = beta[g]
+            z = bg + Xg.T @ r / Lg
+            new = _shrink(z, math.sqrt(np.vdot(z, z)), lam / Lg)
+            delta = new - bg
+            if delta.any():
                 r -= Xg @ delta
                 beta[g] = new
         obj = primal_objective(prob, beta)
@@ -214,7 +210,7 @@ def irls_vector(prob: Problem, eps: float, iters: int = 100, eta0=None, budget_s
     eta = np.ones(groups.k) if eta0 is None else np.asarray(eta0, float).copy()
     tr = SolverTrace("irls", config={"eps": eps, "iters": iters})
     t0 = time.perf_counter()
-    beta = np.zeros((prob.n,) if y.ndim == 1 else (prob.n, y.shape[1]))
+    beta = np.zeros((prob.n,) + y.shape[1:])
     tr.record(0, 0.0, primal_objective(prob, beta))
     for k in range(1, iters + 1):
         if _over(t0, budget_s):
@@ -228,16 +224,15 @@ def irls_vector(prob: Problem, eps: float, iters: int = 100, eta0=None, budget_s
     return tr
 
 
-def irls_matrix(mt: MultiTaskProblem, lam: float | None = None, eps: float = 1e-8,
-                iters: int = 100, budget_s=None) -> SolverTrace:
+def irls_matrix(mt: MultiTaskProblem, eps: float = 1e-8, iters: int = 100, budget_s=None) -> SolverTrace:
     """Trace-norm IRLS: per-task ridge systems, then Z <- (B B^T + eps I)^{1/2}.
 
     The matrix square root goes through a symmetric eigendecomposition, so
     Z stays symmetric PSD with smallest eigenvalue at least sqrt(eps).
     """
-    lam = mt.lam if lam is None else lam
-    if lam <= 0 or eps <= 0:
-        raise ValueError("irls needs lam > 0 and eps > 0")
+    lam = mt.lam
+    if eps <= 0:
+        raise ValueError("irls needs eps > 0")
     n = mt.n
     Z = np.eye(n)
     B = np.zeros((n, mt.T))
@@ -329,7 +324,7 @@ def quad_var_oracle(prob: Problem):
     """
     if prob.lam <= 0:
         raise ValueError("quad variational needs lam > 0")
-    if not isinstance(prob.reg, (L1, GroupL2)):
+    if not isinstance(prob.reg, GroupL2):
         raise ValueError("quad variational covers the group family only")
     groups = prob.groups
 

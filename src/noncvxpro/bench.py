@@ -26,8 +26,8 @@ from .problems import (
     standardize,
     synth_lasso,
 )
-from .regularizers import GroupL2, GroupStructure, L1, Lq, TraceNorm, lambda_max
-from .varpro import InconsistentSystem, eval_state, f_and_grad_matrix, recover_b, recover_beta
+from .regularizers import GroupL2, GroupStructure, L1, Lq, lambda_max
+from .varpro import InconsistentSystem, eval_state, f_and_grad_matrix, recover_beta
 
 
 class ConfigError(ValueError):
@@ -104,8 +104,6 @@ def _build_reg(spec: str, n: int, groups: int):
         if groups <= 0:
             raise ConfigError("reg=group needs a positive --groups count")
         return GroupL2(GroupStructure.contiguous(n, groups))
-    if spec == "trace":
-        return TraceNorm()
     if spec.startswith("lq:"):
         try:
             return Lq(float(spec[3:]))
@@ -122,6 +120,8 @@ def _trace_lambda_max(mt: MultiTaskProblem) -> float:
 def load_problem(config: BenchConfig):
     """Build the Problem or MultiTaskProblem a config describes."""
     kind, _, body = config.problem.partition(":")
+    if config.reg == "trace" and kind != "mt":
+        raise ConfigError("reg=trace applies to mt: problems only (mt: selects the trace norm itself)")
     rng = np.random.default_rng(config.seed)
     try:
         if kind == "synth":
@@ -186,7 +186,7 @@ def _resolve_lambda(config: BenchConfig, X, y, reg) -> float:
     if config.lambda_abs is not None:
         return config.lambda_abs
     frac = config.lambda_frac if config.lambda_frac is not None else 10.0
-    base_reg = reg if isinstance(reg, (L1, GroupL2)) else L1()
+    base_reg = reg if isinstance(reg, GroupL2) else L1()
     return lambda_max(X, y, base_reg) / frac
 
 
@@ -205,6 +205,19 @@ def _state_oracle(prob):
     return oracle, state_at
 
 
+def _matrix_oracle(mt: MultiTaskProblem):
+    """L-BFGS oracle over the flattened trace-norm factor V, and a reader of
+    B at a point that reuses the oracle's last evaluation."""
+    n = mt.n
+    eval_at, out_at = last_point_cache(lambda x: f_and_grad_matrix(mt, x.reshape(n, n)))
+
+    def oracle(x):
+        f, G, _ = eval_at(x)
+        return f, G.ravel()
+
+    return oracle, lambda x: out_at(x)[2]
+
+
 def run_noncvxpro(prob, budget_s=None, seed: int = 0, iters: int = 500,
                   config: LbfgsConfig | None = None) -> baselines.SolverTrace:
     """Race entry for the smooth bilevel method itself.
@@ -213,7 +226,7 @@ def run_noncvxpro(prob, budget_s=None, seed: int = 0, iters: int = 500,
     the primal objective of the recovered coefficients; at lam = 0 the
     recovered point satisfies the constraint by construction, so the
     objective is just R(beta).  The callback and the final coefficients
-    reuse the inner state the oracle computed at the accepted point, so a
+    reuse the inner solves the oracle made at the accepted point, so a
     solve makes one inner evaluation per oracle call.
     """
     cfg = config or LbfgsConfig(max_iters=iters)
@@ -222,36 +235,27 @@ def run_noncvxpro(prob, budget_s=None, seed: int = 0, iters: int = 500,
     rng = np.random.default_rng(seed)
 
     if isinstance(prob, MultiTaskProblem):
-        n = prob.n
-        V0 = rng.standard_normal((n, n)) / np.sqrt(n)
+        x0 = (rng.standard_normal((prob.n, prob.n)) / np.sqrt(prob.n)).ravel()
+        oracle, beta_at = _matrix_oracle(prob)
+        objective = multitask_objective
+    else:
+        x0 = rng.standard_normal(prob.groups.k)
+        oracle, state_at = _state_oracle(prob)
+        objective = primal_objective
 
-        def oracle(x):
-            f, G = f_and_grad_matrix(prob, x.reshape(n, n))
-            return f, G.ravel()
+        def beta_at(v):
+            return recover_beta(prob, v, u=state_at(v).u)
 
-        def cb(it, x, fv, g):
-            B = recover_b(prob, x.reshape(n, n))
-            tr.record(it, time.perf_counter() - t0, multitask_objective(prob, B))
-            return budget_s is not None and time.perf_counter() - t0 > budget_s
-
-        res = minimize(oracle, V0.ravel(), cfg, cb)
-        tr.beta = recover_b(prob, res.x.reshape(n, n))
-        tr.aux["result"] = res
-        return tr
-
-    oracle, state_at = _state_oracle(prob)
-
-    def cb(it, v, fv, g):
+    def cb(it, x, fv, g):
         try:
-            obj = primal_objective(prob, recover_beta(prob, v, u=state_at(v).u))
-            tr.record(it, time.perf_counter() - t0, obj)
+            tr.record(it, time.perf_counter() - t0, objective(prob, beta_at(x)))
         except (InconsistentSystem, InfeasibleAtLambdaZero):
             pass
         return budget_s is not None and time.perf_counter() - t0 > budget_s
 
-    res = minimize(oracle, rng.standard_normal(prob.groups.k), cfg, cb)
+    res = minimize(oracle, x0, cfg, cb)
     try:
-        tr.beta = recover_beta(prob, res.x, u=state_at(res.x).u)
+        tr.beta = beta_at(res.x)
     except InconsistentSystem:
         tr.beta = None
     tr.aux["result"] = res

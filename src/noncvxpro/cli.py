@@ -88,7 +88,7 @@ def _merge(args: argparse.Namespace, fields: dict) -> dict:
 
 def _add_bench_flags(p: argparse.ArgumentParser):
     p.add_argument("--problem", help="synth:m=..,n=..,s=.. | libsvm:PATH | graph:PATH[,src=I,sink=J] | mt:t=..,m=..,n=..")
-    p.add_argument("--reg", help="l1 | group | trace | lq:<q> (default l1)")
+    p.add_argument("--reg", help="l1 | group | lq:<q> (default l1); mt: problems use the trace norm")
     p.add_argument("--groups", type=int, help="contiguous group count for reg=group")
     p.add_argument("--lambda-frac", type=float, dest="lambda_frac",
                    help="set lam = lambda_max / this value")

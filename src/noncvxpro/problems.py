@@ -59,10 +59,12 @@ class Problem:
     ----------
     X : (m, n) ndarray or sparse matrix
     y : (m,) or (m, q) ndarray
-        Multiple columns give the multitask layout where groups span rows.
+        Multiple columns make beta (n, q) with groups of whole rows, so L1
+        (GroupL2 over singletons) sums the row norms.
     lam : float
         Regularization strength, >= 0; 0 constrains X beta = y.
     reg : Regularizer
+        Any family but TraceNorm, which is MultiTaskProblem's.
     """
 
     X: object
@@ -112,7 +114,6 @@ class MultiTaskProblem:
     Xs: list
     ys: list
     lam: float
-    rank: int = 0
 
     def __post_init__(self):
         self.Xs = [np.asarray(X, dtype=float) for X in self.Xs]
@@ -127,8 +128,6 @@ class MultiTaskProblem:
                 raise ValueError("task design and target sizes differ")
         if self.lam <= 0:
             raise ValueError("multitask problems require lam > 0")
-        if self.rank <= 0:
-            self.rank = len(self.Xs)
 
     @property
     def T(self) -> int:

@@ -23,7 +23,7 @@ import scipy.sparse
 
 from .linalg import DENSE_DIRECT_MAX, InconsistentSystem, Side, cholesky_solve, solve_spd, woodbury_side
 from .problems import MultiTaskProblem, Problem
-from .regularizers import GroupL2, L1
+from .regularizers import GroupL2
 
 SUPPORT_CUTOFF = 1e-10  # |v_g| > cutoff * max|v| puts group g in the support J
 
@@ -195,41 +195,27 @@ def f_and_grad(prob: Problem, v: np.ndarray, route: Side | None = None):
     return st.f, st.grad
 
 
-def _task_solve(X: np.ndarray, y: np.ndarray, V: np.ndarray, lam: float):
-    """One task's inner ridge system: A = X V and u = (lam I + A^T A)^{-1} A^T y."""
-    A = X @ V
-    return A, solve_spd(lam * np.eye(V.shape[1]) + A.T @ A, A.T @ y)
+def f_and_grad_matrix(mt: MultiTaskProblem, V: np.ndarray):
+    """Trace-norm projected objective over the square factor V, and B = V U.
 
-
-def f_and_grad_matrix(mt: MultiTaskProblem, V: np.ndarray, lam: float | None = None):
-    """Trace-norm projected objective over the square factor V.
-
-    One ridge system per task gives the inner coefficients u_t; the
-    gradient is V plus the weighted sum of residual-correlation outer
-    products.
+    One ridge system per task, (lam I + A_t^T A_t) u_t = A_t^T y_t with
+    A_t = X_t V, gives the inner coefficients u_t; the gradient is V plus
+    the weighted sum of residual-correlation outer products, and column t
+    of the coefficient matrix B is V u_t.
     """
     V = np.asarray(V, dtype=float)
-    lam = mt.lam if lam is None else lam
-    if lam <= 0:
-        raise ValueError("matrix route needs lam > 0")
+    lam = mt.lam
     f = 0.5 * float(np.sum(V * V))
     grad = V.copy()
-    for X, y in zip(mt.Xs, mt.ys):
-        A, u = _task_solve(X, y, V, lam)
+    B = np.empty((mt.n, mt.T))
+    for t, (X, y) in enumerate(zip(mt.Xs, mt.ys)):
+        A = X @ V
+        u = solve_spd(lam * np.eye(V.shape[1]) + A.T @ A, A.T @ y)
         r = A @ u - y
         f += 0.5 * float(u @ u) + float(r @ r) / (2.0 * lam)
         grad += np.outer(X.T @ r, u) / lam
-    return f, grad
-
-
-def recover_b(mt: MultiTaskProblem, V: np.ndarray, lam: float | None = None) -> np.ndarray:
-    """Coefficient matrix B = V U with per-task inner solutions as columns."""
-    V = np.asarray(V, dtype=float)
-    lam = mt.lam if lam is None else lam
-    B = np.empty((mt.n, mt.T))
-    for t, (X, y) in enumerate(zip(mt.Xs, mt.ys)):
-        B[:, t] = V @ _task_solve(X, y, V, lam)[1]
-    return B
+        B[:, t] = V @ u
+    return f, grad, B
 
 
 def hessian(prob: Problem, v: np.ndarray) -> HessianBlocks:
@@ -240,7 +226,7 @@ def hessian(prob: Problem, v: np.ndarray) -> HessianBlocks:
     """
     if prob.lam <= 0:
         raise ValueError("hessian requires lam > 0")
-    if not isinstance(prob.reg, (L1, GroupL2)):
+    if not isinstance(prob.reg, GroupL2):
         raise ValueError("hessian is defined for the group family only")
     v = np.asarray(v, dtype=float)
     groups = prob.groups

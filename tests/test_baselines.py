@@ -387,6 +387,27 @@ def test_convex_solvers_agree_with_certified_optimum():
         assert min(tr.objectives) >= f_star - 1e-9 * (1.0 + abs(f_star))
 
 
+def test_l1_with_two_column_y_is_the_row_norm_problem():
+    # L1 over a matrix beta is the singleton group family: the sum of row
+    # norms, which every solver minimizes and every objective reports
+    from noncvxpro.bench import run_noncvxpro
+
+    rng = np.random.default_rng(0)
+    X, Y = rng.standard_normal((30, 12)), rng.standard_normal((30, 2))
+    prob = Problem(X, Y, 2.0, L1())
+    cd = coordinate_descent_lasso(prob, iters=2000)
+    f_star = cd.objectives[-1]
+    assert cd.aux["gap"] <= cd.config["tol"] * max(1.0, abs(f_star))
+    rows = Problem(X, Y, 2.0, GroupL2(GroupStructure.singletons(12)))
+    r = X @ cd.beta - Y
+    row_norm_value = np.linalg.norm(cd.beta, axis=1).sum() + np.sum(r * r) / 4.0
+    assert primal_objective(prob, cd.beta) == primal_objective(rows, cd.beta)
+    assert primal_objective(prob, cd.beta) == pytest.approx(row_norm_value, rel=1e-14)
+    for tr in (run_noncvxpro(prob), ista(prob, iters=3000), fista_bb_restart(prob, iters=3000)):
+        assert tr.beta.shape == (12, 2)
+        assert tr.objectives[-1] == pytest.approx(f_star, rel=1e-9), tr.name
+
+
 # ----------------------------------------------------------------- splitting
 
 def test_affine_projector_symmetric_example():

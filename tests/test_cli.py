@@ -32,6 +32,12 @@ def test_unreadable_problem_is_problem_error(capsys):
     assert "problem error" in capsys.readouterr().err
 
 
+def test_trace_reg_outside_mt_problems_is_config_error(capsys):
+    rc = main(["solve", "--problem", "synth:m=20,n=40,s=4", "--reg", "trace"])
+    assert rc == EXIT_CONFIG
+    assert "mt:" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------- subcommands
 
 def test_bench_happy_path_writes_csv(tmp_path, capsys):

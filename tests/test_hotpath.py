@@ -1,14 +1,15 @@
-"""Hot-path counts of one solve: one inner evaluation per oracle call, no group builds,
-and the Gram matrix formed only on the n-sized route."""
+"""Hot-path counts of one solve: one inner evaluation per oracle call (T task solves on
+the trace-norm route), no group builds, and the Gram matrix formed only on the
+n-sized route."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from noncvxpro import bench
+from noncvxpro import bench, varpro
 from noncvxpro.bench import BenchConfig, load_problem, run_noncvxpro
 from noncvxpro.regularizers import GroupStructure
-from noncvxpro.varpro import eval_state, recover_beta
+from noncvxpro.varpro import eval_state, f_and_grad_matrix, recover_beta
 
 
 @pytest.mark.parametrize("problem, reg, groups", [
@@ -50,3 +51,21 @@ def test_state_reader_evaluates_points_other_than_the_last():
     f2, _ = oracle(v2)
     assert state_at(v2.copy()).f == f2
     assert_array_equal(state_at(v1).grad, eval_state(prob, v1).grad)
+
+
+def test_trace_norm_solve_makes_one_task_solve_per_task_and_oracle_call(monkeypatch):
+    mt = load_problem(BenchConfig(problem="mt:t=3,m=12,n=6", seed=1))
+    solves = []
+    inner = varpro.solve_spd
+
+    def counting_solve(*args, **kwargs):
+        solves.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(varpro, "solve_spd", counting_solve)
+    tr = run_noncvxpro(mt, seed=1)
+    monkeypatch.undo()
+    res = tr.aux["result"]
+    assert res.iterations > 5
+    assert len(solves) == mt.T * res.nfev
+    assert_array_equal(tr.beta, f_and_grad_matrix(mt, res.x.reshape(mt.n, mt.n))[2])

@@ -172,7 +172,7 @@ def test_multitask_validation():
     Xs = [rng.standard_normal((4, 3)), rng.standard_normal((5, 3))]
     ys = [rng.standard_normal(4), rng.standard_normal(5)]
     mt = MultiTaskProblem(Xs, ys, lam=0.5)
-    assert mt.T == 2 and mt.n == 3 and mt.rank == 2
+    assert mt.T == 2 and mt.n == 3
     with pytest.raises(ValueError):
         MultiTaskProblem(Xs, ys, lam=0.0)
     with pytest.raises(ValueError):

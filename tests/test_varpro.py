@@ -233,9 +233,10 @@ def test_f_equals_objective_at_minimum():
 
 def test_matrix_case_reduces_to_scalar():
     mt = MultiTaskProblem([np.array([[1.0]])], [np.array([2.0])], lam=1.0)
-    f, G = f_and_grad_matrix(mt, np.array([[1.0]]))
+    f, G, B = f_and_grad_matrix(mt, np.array([[1.0]]))
     assert f == pytest.approx(1.5, abs=1e-12)
     assert_allclose(G, [[0.0]], atol=1e-12)
+    assert_allclose(B, [[1.0]], atol=1e-12)  # (1 + 1) u = 2
 
 
 def test_matrix_case_zero_v():
@@ -245,8 +246,9 @@ def test_matrix_case_zero_v():
         [rng.standard_normal(5) for _ in range(2)],
         lam=0.8,
     )
-    f, G = f_and_grad_matrix(mt, np.zeros((3, 3)))
+    f, G, B = f_and_grad_matrix(mt, np.zeros((3, 3)))
     assert_allclose(G, np.zeros((3, 3)), atol=1e-14)
+    assert_allclose(B, np.zeros((3, 2)), atol=1e-14)
 
 
 def test_matrix_gradient_matches_finite_differences():
@@ -258,7 +260,7 @@ def test_matrix_gradient_matches_finite_differences():
         lam=0.6,
     )
     V = rng.standard_normal((n, n))
-    _, G = f_and_grad_matrix(mt, V)
+    _, G, _ = f_and_grad_matrix(mt, V)
     ref = fd_grad(lambda w: f_and_grad_matrix(mt, w.reshape(n, n))[0], V.ravel())
     assert_allclose(G.ravel(), ref, rtol=1e-5, atol=1e-7)
 
