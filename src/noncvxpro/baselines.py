@@ -1,8 +1,11 @@
 """Reference solvers: proximal, coordinate, IRLS, alternating, and splitting.
 
 These provide the correctness oracles and the competitors raced by the
-benchmark harness.  Every solver returns a SolverTrace of per-iteration
-(wall time, primal objective) samples plus its final coefficients.
+benchmark harness.  Every solver has the race signature
+(prob, *, iters, budget_s=None, seed=0, <its own options>) and returns a
+SolverTrace of per-iteration (wall time, primal objective) samples plus its
+final coefficients.  seed is read only by a solver with a random start;
+budget_s bounds the wall time, which the trace keeps.
 """
 
 from __future__ import annotations
@@ -27,25 +30,31 @@ class StepConditionViolated(ValueError):
 
 @dataclass
 class SolverTrace:
-    """Per-iteration record of one solver run.
+    """Per-iteration record of one solver run, with the run's clock and budget.
 
-    times are seconds since the run started and are nondecreasing; each
-    entry pairs with an iteration number and the primal objective of the
-    iterate at that point.
+    The clock starts when the trace is built, which a solver does after its
+    set-up.  record stamps each sample with the seconds since then, so times
+    are nondecreasing; each entry pairs with an iteration number and the
+    primal objective of the iterate at that point.  over() tells whether
+    the wall-clock budget (None: unbounded) is spent.
     """
 
     name: str
+    budget_s: float | None = None
     iterations: list = field(default_factory=list)
     times: list = field(default_factory=list)
     objectives: list = field(default_factory=list)
     beta: np.ndarray | None = None
-    config: dict = field(default_factory=dict)
     aux: dict = field(default_factory=dict)
+    start: float = field(default_factory=time.perf_counter, init=False, repr=False)
 
-    def record(self, it: int, t: float, obj: float):
+    def record(self, it: int, obj: float):
         self.iterations.append(int(it))
-        self.times.append(float(t))
+        self.times.append(time.perf_counter() - self.start)
         self.objectives.append(float(obj))
+
+    def over(self) -> bool:
+        return self.budget_s is not None and time.perf_counter() - self.start > self.budget_s
 
 
 def _spectral_norm(X) -> float:
@@ -57,11 +66,7 @@ def _spectral_norm(X) -> float:
     return float(np.linalg.norm(np.asarray(X, float), 2))
 
 
-def _over(t0: float, budget_s) -> bool:
-    return budget_s is not None and time.perf_counter() - t0 > budget_s
-
-
-def ista(prob: Problem, beta0=None, step=None, iters: int = 500, budget_s=None) -> SolverTrace:
+def ista(prob: Problem, *, iters: int = 500, budget_s=None, seed: int = 0, step=None) -> SolverTrace:
     """Proximal gradient: beta <- prox_{step R}(beta - (step/lam) X^T (X beta - y)).
 
     The default step lam/||X||^2 is the largest that keeps the objective
@@ -70,23 +75,22 @@ def ista(prob: Problem, beta0=None, step=None, iters: int = 500, budget_s=None) 
     if prob.lam <= 0:
         raise ValueError("ista needs lam > 0")
     X, y, lam = prob.X, prob.y, prob.lam
-    beta = np.zeros((prob.n,) + y.shape[1:]) if beta0 is None else np.asarray(beta0, float).copy()
+    beta = np.zeros((prob.n,) + y.shape[1:])
     if step is None:
         step = lam / _spectral_norm(X) ** 2
-    tr = SolverTrace("ista", config={"step": step, "iters": iters})
-    t0 = time.perf_counter()
-    tr.record(0, 0.0, primal_objective(prob, beta))
+    tr = SolverTrace("ista", budget_s)
+    tr.record(0, primal_objective(prob, beta))
     for k in range(1, iters + 1):
-        if _over(t0, budget_s):
+        if tr.over():
             break
         grad = np.asarray(X.T @ (X @ beta - y)) / lam
         beta = prob.reg.prox(beta - step * grad, step)
-        tr.record(k, time.perf_counter() - t0, primal_objective(prob, beta))
+        tr.record(k, primal_objective(prob, beta))
     tr.beta = beta
     return tr
 
 
-def fista_bb_restart(prob: Problem, beta0=None, iters: int = 500, budget_s=None) -> SolverTrace:
+def fista_bb_restart(prob: Problem, *, iters: int = 500, budget_s=None, seed: int = 0) -> SolverTrace:
     """FISTA with a Barzilai-Borwein spectral step and function-value restart.
 
     The BB step is clipped to [1e-8, 1e8] times the safe step lam/||X||^2;
@@ -102,17 +106,16 @@ def fista_bb_restart(prob: Problem, beta0=None, iters: int = 500, budget_s=None)
     def smooth_grad(b):
         return np.asarray(X.T @ (X @ b - y)) / lam
 
-    beta = np.zeros((prob.n,) + y.shape[1:]) if beta0 is None else np.asarray(beta0, float).copy()
+    beta = np.zeros((prob.n,) + y.shape[1:])
     z = beta.copy()
     prev_beta = beta.copy()
     prev_grad = None
     fcur = primal_objective(prob, beta)
-    tr = SolverTrace("fista-bb", config={"safe_step": safe, "iters": iters})
-    t0 = time.perf_counter()
-    tr.record(0, 0.0, fcur)
+    tr = SolverTrace("fista-bb", budget_s)
+    tr.record(0, fcur)
     j = 0  # momentum age
     for k in range(1, iters + 1):
-        if _over(t0, budget_s):
+        if tr.over():
             break
         gz = smooth_grad(z)
         if prev_grad is not None:
@@ -136,12 +139,13 @@ def fista_bb_restart(prob: Problem, beta0=None, iters: int = 500, budget_s=None)
         j += 1
         prev_beta, beta, fcur = beta, cand, fc
         z = beta + ((j - 1.0) / (j + 2.0)) * (beta - prev_beta)
-        tr.record(k, time.perf_counter() - t0, fcur)
+        tr.record(k, fcur)
     tr.beta = beta
     return tr
 
 
-def coordinate_descent_lasso(prob: Problem, iters: int = 1000, tol: float = 1e-10, budget_s=None) -> SolverTrace:
+def coordinate_descent_lasso(prob: Problem, *, iters: int = 1000, budget_s=None, seed: int = 0,
+                             tol: float = 1e-10) -> SolverTrace:
     """Cyclic block coordinate descent with a duality-gap certificate.
 
     Singleton groups get the exact coordinate update; larger groups take a
@@ -162,12 +166,11 @@ def coordinate_descent_lasso(prob: Problem, iters: int = 1000, tol: float = 1e-1
         lips.append(float(np.linalg.norm(Xg, 2) ** 2))
     beta = np.zeros((prob.n,) + y.shape[1:])
     r = y.copy()  # r = y - X beta
-    tr = SolverTrace("cd", config={"iters": iters, "tol": tol})
-    t0 = time.perf_counter()
-    tr.record(0, 0.0, primal_objective(prob, beta))
+    tr = SolverTrace("cd", budget_s)
+    tr.record(0, primal_objective(prob, beta))
     gap = np.inf
     for sweep in range(1, iters + 1):
-        if _over(t0, budget_s):
+        if tr.over():
             break
         for gid, g in enumerate(groups.groups):
             Lg = lips[gid]
@@ -182,7 +185,7 @@ def coordinate_descent_lasso(prob: Problem, iters: int = 1000, tol: float = 1e-1
                 r -= Xg @ delta
                 beta[g] = new
         obj = primal_objective(prob, beta)
-        tr.record(sweep, time.perf_counter() - t0, obj)
+        tr.record(sweep, obj)
         corr = np.asarray(X.T @ r)
         cmax = groups.norms(corr).max()
         theta = r * min(1.0, lam / cmax) if cmax > 0 else r
@@ -195,7 +198,8 @@ def coordinate_descent_lasso(prob: Problem, iters: int = 1000, tol: float = 1e-1
     return tr
 
 
-def irls_vector(prob: Problem, eps: float, iters: int = 100, eta0=None, budget_s=None) -> SolverTrace:
+def irls_vector(prob: Problem, *, iters: int = 100, budget_s=None, seed: int = 0, eps: float = 1e-8,
+                eta0=None) -> SolverTrace:
     """Iteratively reweighted least squares with a fixed barrier eps.
 
     Alternates the reweighted ridge solve with the closed-form weight
@@ -208,23 +212,23 @@ def irls_vector(prob: Problem, eps: float, iters: int = 100, eta0=None, budget_s
     y = prob.y
     groups = prob.groups
     eta = np.ones(groups.k) if eta0 is None else np.asarray(eta0, float).copy()
-    tr = SolverTrace("irls", config={"eps": eps, "iters": iters})
-    t0 = time.perf_counter()
+    tr = SolverTrace("irls", budget_s)
     beta = np.zeros((prob.n,) + y.shape[1:])
-    tr.record(0, 0.0, primal_objective(prob, beta))
+    tr.record(0, primal_objective(prob, beta))
     for k in range(1, iters + 1):
-        if _over(t0, budget_s):
+        if tr.over():
             break
         v = np.sqrt(eta)
         beta = recover_beta(prob, v, u=eval_state(prob, v).u)
         eta = np.sqrt(groups.sumsq(beta) + eps)
-        tr.record(k, time.perf_counter() - t0, primal_objective(prob, beta))
+        tr.record(k, primal_objective(prob, beta))
     tr.beta = beta
     tr.aux["eta"] = eta
     return tr
 
 
-def irls_matrix(mt: MultiTaskProblem, eps: float = 1e-8, iters: int = 100, budget_s=None) -> SolverTrace:
+def irls_matrix(mt: MultiTaskProblem, *, iters: int = 100, budget_s=None, seed: int = 0,
+                eps: float = 1e-8) -> SolverTrace:
     """Trace-norm IRLS: per-task ridge systems, then Z <- (B B^T + eps I)^{1/2}.
 
     The matrix square root goes through a symmetric eigendecomposition, so
@@ -236,11 +240,10 @@ def irls_matrix(mt: MultiTaskProblem, eps: float = 1e-8, iters: int = 100, budge
     n = mt.n
     Z = np.eye(n)
     B = np.zeros((n, mt.T))
-    tr = SolverTrace("irls-matrix", config={"eps": eps, "iters": iters})
-    t0 = time.perf_counter()
-    tr.record(0, 0.0, multitask_objective(mt, B))
+    tr = SolverTrace("irls-matrix", budget_s)
+    tr.record(0, multitask_objective(mt, B))
     for k in range(1, iters + 1):
-        if _over(t0, budget_s):
+        if tr.over():
             break
         Zinv = cholesky_solve(Z, np.eye(n))
         Zinv = 0.5 * (Zinv + Zinv.T)
@@ -249,13 +252,13 @@ def irls_matrix(mt: MultiTaskProblem, eps: float = 1e-8, iters: int = 100, budge
         w, V = np.linalg.eigh(B @ B.T + eps * np.eye(n))
         Z = (V * np.sqrt(np.maximum(w, 0.0))) @ V.T
         Z = 0.5 * (Z + Z.T)
-        tr.record(k, time.perf_counter() - t0, multitask_objective(mt, B))
+        tr.record(k, multitask_objective(mt, B))
     tr.beta = B
     tr.aux["z_min_eig"] = float(np.linalg.eigvalsh(Z).min())
     return tr
 
 
-def altmin_noncvx(prob: Problem, iters: int = 200, v0=None, budget_s=None) -> SolverTrace:
+def altmin_noncvx(prob: Problem, *, iters: int = 200, budget_s=None, seed: int = 0, v0=None) -> SolverTrace:
     """Exact alternating minimization of the split objective in u and v.
 
     The u step is the inner ridge system at fixed v, solved by eval_state
@@ -267,27 +270,26 @@ def altmin_noncvx(prob: Problem, iters: int = 200, v0=None, budget_s=None) -> So
     M^T M is summed per group from it without forming M, which stays fast
     once u decays into subnormals.  The joint objective is monotone
     nonincreasing (recorded in aux["joint"]); starting at v = 0 stays at
-    the saddle.
+    the saddle.  Without v0 the start is standard normal, drawn from seed.
     """
     if prob.lam <= 0:
         raise ValueError("alternating minimization needs lam > 0")
     groups = prob.groups
     k, n = groups.k, prob.n
-    v = np.ones(k) if v0 is None else np.asarray(v0, float).copy()
+    v = np.random.default_rng(seed).standard_normal(k) if v0 is None else np.asarray(v0, float).copy()
     lam, y = prob.lam, prob.y
     X = prob.X.toarray() if scipy.sparse.issparse(prob.X) else np.asarray(prob.X, float)
     # the Gram is read only where the u step forms it anyway; then k <= n < m
     gram_side = woodbury_side(prob.m, n) is Side.PRIMAL_N and n <= DENSE_DIRECT_MAX
     k_side = woodbury_side(y.size, k) is Side.PRIMAL_N
     Xty = (X.T @ y).reshape(n, -1) if gram_side else None
-    tr = SolverTrace("altmin", config={"iters": iters})
-    t0 = time.perf_counter()
+    tr = SolverTrace("altmin", budget_s)
     u = np.zeros((n,) if y.ndim == 1 else (n, y.shape[1]))
     beta = recover_beta(prob, v, u=u)
     joint = []
-    tr.record(0, 0.0, primal_objective(prob, beta))
+    tr.record(0, primal_objective(prob, beta))
     for it in range(1, iters + 1):
-        if _over(t0, budget_s):
+        if tr.over():
             break
         u = eval_state(prob, v).u
         U = u.reshape(n, -1)
@@ -305,7 +307,7 @@ def altmin_noncvx(prob: Problem, iters: int = 200, v0=None, budget_s=None) -> So
         resid = X @ beta - y
         joint.append(0.5 * float(v @ v) + 0.5 * float(np.sum(u * u))
                      + float(np.sum(resid * resid)) / (2.0 * lam))
-        tr.record(it, time.perf_counter() - t0, primal_objective(prob, beta))
+        tr.record(it, primal_objective(prob, beta))
     tr.beta = beta
     tr.aux["joint"] = joint
     tr.aux["v"] = v
@@ -337,38 +339,34 @@ def quad_var_oracle(prob: Problem):
     return eval_eta
 
 
-def quad_variational(prob: Problem, eta0=None, iters: int = 300, config: LbfgsConfig | None = None,
-                     budget_s=None) -> SolverTrace:
+def quad_variational(prob: Problem, *, iters: int = 300, budget_s=None, seed: int = 0) -> SolverTrace:
     """Bound-constrained quasi-Newton on the convex variational objective.
 
     See quad_var_oracle for the objective; this drives minimize_box over
-    eta >= 0 and reports the primal objective of the recovered beta.  An
-    explicit config overrides the iters cap.
+    eta >= 0 from eta = 1 and reports the primal objective of the
+    recovered beta.
     """
     eval_eta = quad_var_oracle(prob)
     k = prob.groups.k
-    cfg = config or LbfgsConfig(max_iters=iters)
-    tr = SolverTrace("quad-var", config={"solver": "box-lbfgs", "iters": cfg.max_iters})
-    t0 = time.perf_counter()
+    tr = SolverTrace("quad-var", budget_s)
     eval_at, out_at = last_point_cache(eval_eta)
 
     def oracle(eta):
         return eval_at(eta)[:2]
 
     def cb(it, eta, fval, grad):
-        tr.record(it, time.perf_counter() - t0, primal_objective(prob, out_at(eta)[2]))
-        return _over(t0, budget_s)
+        tr.record(it, primal_objective(prob, out_at(eta)[2]))
+        return tr.over()
 
-    eta_start = np.ones(k) if eta0 is None else np.asarray(eta0, float).copy()
-    res = minimize_box(oracle, eta_start, np.zeros(k), cfg, cb)
+    res = minimize_box(oracle, np.ones(k), np.zeros(k), LbfgsConfig(max_iters=iters), cb)
     tr.beta = out_at(res.x)[2]
     tr.aux["eta"] = res.x
     tr.aux["result"] = res
     return tr
 
 
-def split_box_lasso(prob: Problem, iters: int = 500, config: LbfgsConfig | None = None,
-                    budget_s=None) -> SolverTrace:
+def split_box_lasso(prob: Problem, *, iters: int = 500, budget_s=None, seed: int = 0,
+                    config: LbfgsConfig | None = None) -> SolverTrace:
     """Lasso via the positive split beta = p - q with p, q >= 0.
 
     The objective sum(p) + sum(q) + (1/(2 lam)) ||X (p - q) - y||^2 is
@@ -379,6 +377,9 @@ def split_box_lasso(prob: Problem, iters: int = 500, config: LbfgsConfig | None 
         raise ValueError("split formulation needs lam > 0")
     if not isinstance(prob.reg, L1):
         raise ValueError("split formulation is for the l1 family")
+    if prob.y.ndim > 1:
+        raise ValueError("split formulation needs a single-column y: it splits beta entrywise, "
+                         "while L1 of a coefficient matrix sums its row norms")
     X, y, lam = prob.X, prob.y, prob.lam
     n = prob.n
 
@@ -391,12 +392,11 @@ def split_box_lasso(prob: Problem, iters: int = 500, config: LbfgsConfig | None 
         return val, np.concatenate([1.0 + gr, 1.0 - gr])
 
     cfg = config or LbfgsConfig(max_iters=iters)
-    tr = SolverTrace("lbfgsb-split", config={"solver": "box-lbfgs", "iters": cfg.max_iters})
-    t0 = time.perf_counter()
+    tr = SolverTrace("lbfgsb-split", budget_s)
 
     def cb(it, z, fval, grad):
-        tr.record(it, time.perf_counter() - t0, primal_objective(prob, z[:n] - z[n:]))
-        return _over(t0, budget_s)
+        tr.record(it, primal_objective(prob, z[:n] - z[n:]))
+        return tr.over()
 
     res = minimize_box(oracle, np.zeros(2 * n), np.zeros(2 * n), cfg, cb)
     tr.beta = res.x[:n] - res.x[n:]
@@ -432,8 +432,8 @@ class _AffineProjector:
         return beta + np.asarray(self.X.T @ self._solve(resid))
 
 
-def douglas_rachford_bp(prob, mu: float = 1.0, gamma: float = 1.0, iters: int = 500,
-                        budget_s=None) -> SolverTrace:
+def douglas_rachford_bp(prob, *, iters: int = 500, budget_s=None, seed: int = 0,
+                        gamma: float = 1.0) -> SolverTrace:
     """Douglas-Rachford splitting for the constrained sparse problem.
 
     beta_k is the affine projection of z_k onto X beta = y, hence always
@@ -446,24 +446,23 @@ def douglas_rachford_bp(prob, mu: float = 1.0, gamma: float = 1.0, iters: int = 
     p = _as_constrained(prob)
     proj = _AffineProjector(p.X, p.y)
     z = np.zeros(p.n)
-    tr = SolverTrace("dr", config={"mu": mu, "gamma": gamma, "iters": iters})
-    t0 = time.perf_counter()
+    tr = SolverTrace("dr", budget_s)
     beta = proj(z)
-    tr.record(0, 0.0, p.reg.r_value(beta))
+    tr.record(0, p.reg.r_value(beta))
     for k in range(1, iters + 1):
-        if _over(t0, budget_s):
+        if tr.over():
             break
         beta = proj(z)
         refl_g = 2.0 * beta - z
-        refl_f = 2.0 * p.reg.prox(refl_g, mu) - refl_g
+        refl_f = 2.0 * p.reg.prox(refl_g, 1.0) - refl_g
         z = (1.0 - gamma / 2.0) * z + (gamma / 2.0) * refl_f
-        tr.record(k, time.perf_counter() - t0, p.reg.r_value(beta))
+        tr.record(k, p.reg.r_value(beta))
     tr.beta = proj(z)
     return tr
 
 
-def chambolle_pock_bp(prob, sigma: float | None = None, tau: float | None = None,
-                      theta: float = 1.0, iters: int = 500, budget_s=None) -> SolverTrace:
+def chambolle_pock_bp(prob, *, iters: int = 500, budget_s=None, seed: int = 0, sigma: float | None = None,
+                      tau: float | None = None, theta: float = 1.0) -> SolverTrace:
     """Primal-dual iterations for the constrained sparse problem.
 
     Steps default to tau * sigma * ||X||^2 = 0.9 with tau = sigma; passing
@@ -492,16 +491,15 @@ def chambolle_pock_bp(prob, sigma: float | None = None, tau: float | None = None
     beta = np.zeros(p.n)
     beta_bar = beta.copy()
     w = np.zeros(p.m)
-    tr = SolverTrace("cp", config={"sigma": sigma, "tau": tau, "theta": theta})
-    t0 = time.perf_counter()
-    tr.record(0, 0.0, p.reg.r_value(proj(beta)))
+    tr = SolverTrace("cp", budget_s)
+    tr.record(0, p.reg.r_value(proj(beta)))
     for k in range(1, iters + 1):
-        if _over(t0, budget_s):
+        if tr.over():
             break
         w = w + sigma * np.asarray(X @ beta_bar) - sigma * y
         beta_new = p.reg.prox(beta - tau * np.asarray(X.T @ w), tau)
         beta_bar = beta_new + theta * (beta_new - beta)
         beta = beta_new
-        tr.record(k, time.perf_counter() - t0, p.reg.r_value(proj(beta)))
+        tr.record(k, p.reg.r_value(proj(beta)))
     tr.beta = proj(beta)
     return tr

@@ -8,7 +8,6 @@ with its suboptimality against the best value any solver reached.
 from __future__ import annotations
 
 import csv
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -158,7 +157,8 @@ def load_problem(config: BenchConfig):
             b = np.zeros(nodes)
             a[src] = 1.0
             b[sink] = 1.0
-            return BeckmannProblem(nodes, edges, a, b).to_problem()
+            flow = BeckmannProblem(nodes, edges, a, b)
+            return Problem(flow.X, flow.y, 0.0, _build_reg(config.reg, len(edges), config.groups))
         if kind == "mt":
             kv = _parse_kv(body)
             T, m, n = int(kv.get("t", 3)), int(kv["m"]), int(kv["n"])
@@ -218,8 +218,7 @@ def _matrix_oracle(mt: MultiTaskProblem):
     return oracle, lambda x: out_at(x)[2]
 
 
-def run_noncvxpro(prob, budget_s=None, seed: int = 0, iters: int = 500,
-                  config: LbfgsConfig | None = None) -> baselines.SolverTrace:
+def run_noncvxpro(prob, *, iters: int = 500, budget_s=None, seed: int = 0) -> baselines.SolverTrace:
     """Race entry for the smooth bilevel method itself.
 
     Outer start is standard normal (seeded).  Each accepted step records
@@ -229,9 +228,7 @@ def run_noncvxpro(prob, budget_s=None, seed: int = 0, iters: int = 500,
     reuse the inner solves the oracle made at the accepted point, so a
     solve makes one inner evaluation per oracle call.
     """
-    cfg = config or LbfgsConfig(max_iters=iters)
-    tr = baselines.SolverTrace("noncvx-pro", config={"iters": cfg.max_iters, "seed": seed})
-    t0 = time.perf_counter()
+    tr = baselines.SolverTrace("noncvx-pro", budget_s)
     rng = np.random.default_rng(seed)
 
     if isinstance(prob, MultiTaskProblem):
@@ -248,12 +245,12 @@ def run_noncvxpro(prob, budget_s=None, seed: int = 0, iters: int = 500,
 
     def cb(it, x, fv, g):
         try:
-            tr.record(it, time.perf_counter() - t0, objective(prob, beta_at(x)))
+            tr.record(it, objective(prob, beta_at(x)))
         except (InconsistentSystem, InfeasibleAtLambdaZero):
             pass
-        return budget_s is not None and time.perf_counter() - t0 > budget_s
+        return tr.over()
 
-    res = minimize(oracle, x0, cfg, cb)
+    res = minimize(oracle, x0, LbfgsConfig(max_iters=iters), cb)
     try:
         tr.beta = beta_at(res.x)
     except InconsistentSystem:
@@ -264,19 +261,20 @@ def run_noncvxpro(prob, budget_s=None, seed: int = 0, iters: int = 500,
 
 
 def _runner(name: str):
+    # built per call from the module attributes: perfbench's tracer wraps a
+    # function by replacing its attribute, which a table built at import misses
     table = {
         "noncvx-pro": run_noncvxpro,
-        "ista": lambda p, budget_s, seed, iters, **kw: baselines.ista(p, iters=iters, budget_s=budget_s, **kw),
-        "fista-bb": lambda p, budget_s, seed, iters, **kw: baselines.fista_bb_restart(p, iters=iters, budget_s=budget_s, **kw),
-        "cd": lambda p, budget_s, seed, iters, **kw: baselines.coordinate_descent_lasso(p, iters=iters, budget_s=budget_s, **kw),
-        "irls": lambda p, budget_s, seed, iters, **kw: baselines.irls_vector(p, kw.pop("eps", 1e-8), iters=iters, budget_s=budget_s, **kw),
-        "irls-matrix": lambda p, budget_s, seed, iters, **kw: baselines.irls_matrix(p, eps=kw.pop("eps", 1e-8), iters=iters, budget_s=budget_s, **kw),
-        "altmin": lambda p, budget_s, seed, iters, **kw: baselines.altmin_noncvx(
-            p, iters=iters, v0=np.random.default_rng(seed).standard_normal(p.groups.k), budget_s=budget_s, **kw),
-        "quad-var": lambda p, budget_s, seed, iters, **kw: baselines.quad_variational(p, iters=iters, budget_s=budget_s, **kw),
-        "lbfgsb-split": lambda p, budget_s, seed, iters, **kw: baselines.split_box_lasso(p, iters=iters, budget_s=budget_s, **kw),
-        "dr": lambda p, budget_s, seed, iters, **kw: baselines.douglas_rachford_bp(p, iters=iters, budget_s=budget_s, **kw),
-        "cp": lambda p, budget_s, seed, iters, **kw: baselines.chambolle_pock_bp(p, iters=iters, budget_s=budget_s, **kw),
+        "ista": baselines.ista,
+        "fista-bb": baselines.fista_bb_restart,
+        "cd": baselines.coordinate_descent_lasso,
+        "irls": baselines.irls_vector,
+        "irls-matrix": baselines.irls_matrix,
+        "altmin": baselines.altmin_noncvx,
+        "quad-var": baselines.quad_variational,
+        "lbfgsb-split": baselines.split_box_lasso,
+        "dr": baselines.douglas_rachford_bp,
+        "cp": baselines.chambolle_pock_bp,
     }
     if name not in table:
         raise ConfigError(f"unknown solver {name!r}")
@@ -296,9 +294,9 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
     failures = {}
 
     for name, fn in runners:
-        kw = dict(config.solver_configs.get(name, {}))
         try:
-            traces.append(fn(prob, config.budget_s, config.seed, config.iters, **kw))
+            traces.append(fn(prob, iters=config.iters, budget_s=config.budget_s, seed=config.seed,
+                             **config.solver_configs.get(name, {})))
         except Exception as exc:
             failures[name] = repr(exc)
 

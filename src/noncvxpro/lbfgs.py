@@ -9,8 +9,7 @@ bounds the two entry points run the identical code path.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -47,7 +46,6 @@ class OptimResult:
     grad_norm: float
     iterations: int
     reason: str
-    trace: list = field(default_factory=list)
     nfev: int = 0
 
 
@@ -171,7 +169,6 @@ def _engine(
     config: LbfgsConfig,
     callback: Optional[Callable],
 ) -> OptimResult:
-    t0 = time.perf_counter()
     x = np.asarray(x0, dtype=float).copy()
     bounded = lb is not None
     if bounded:
@@ -183,9 +180,8 @@ def _engine(
     nfev = 1
     if _finite(f, g) == np.inf:
         raise ValueError("objective not finite at the starting point")
-    trace = [(time.perf_counter() - t0, f)]
     if callback is not None and callback(0, x, f, g):
-        return OptimResult(x, f, float(np.linalg.norm(g)), 0, "callback_stop", trace, nfev)
+        return OptimResult(x, f, float(np.linalg.norm(g)), 0, "callback_stop", nfev)
 
     pairs: list = []
     reason = "max_iters"
@@ -257,12 +253,11 @@ def _engine(
             if len(pairs) > config.memory:
                 pairs.pop(0)
         x, f, g = x_new, float(f_new), g_new
-        trace.append((time.perf_counter() - t0, f))
         if callback is not None and callback(it, x, f, g):
             reason = "callback_stop"
             break
 
-    return OptimResult(x, f, float(np.linalg.norm(g)), it, reason, trace, nfev)
+    return OptimResult(x, f, float(np.linalg.norm(g)), it, reason, nfev)
 
 
 def last_point_cache(fn: Callable):

@@ -312,7 +312,7 @@ def test_criterion_8_scalar_anchor(capsys):
             "noncvx-pro", "ista", "fista-bb", "cd",
             "irls", "altmin", "quad-var", "lbfgsb-split",
         ):
-            tr = _runner(name)(prob, None, 0, 500)
+            tr = _runner(name)(prob, iters=500)
             assert abs(tr.objectives[-1] - 1.5) <= 1e-6, name
 
 

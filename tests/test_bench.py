@@ -22,7 +22,7 @@ from noncvxpro.bench import (
 from noncvxpro.baselines import coordinate_descent_lasso
 from noncvxpro.lbfgs import LbfgsConfig
 from noncvxpro.problems import MultiTaskProblem, Problem
-from noncvxpro.regularizers import L1, lambda_max
+from noncvxpro.regularizers import L1, GroupL2, Lq, lambda_max
 
 from _oracles import random_group_problem
 
@@ -78,6 +78,14 @@ def test_graph_problem_is_constrained(tmp_path):
     assert prob.y[0] == 1.0 and prob.y[-1] == -1.0
 
 
+def test_graph_problem_takes_the_configured_regularizer(tmp_path):
+    path = tmp_path / "edges.txt"
+    path.write_text("0 1\n1 2\n2 3\n0 2\n")
+    assert isinstance(load_problem(BenchConfig(problem=f"graph:{path}", reg="lq:0.8")).reg, Lq)
+    grouped = load_problem(BenchConfig(problem=f"graph:{path}", reg="group", groups=2)).reg
+    assert isinstance(grouped, GroupL2) and grouped.groups.k == 2
+
+
 def test_libsvm_problem_loading(tmp_path):
     path = tmp_path / "data.txt"
     path.write_text("1 1:0.5 2:1.0\n-1 1:-0.5\n2 2:2.0\n")
@@ -115,7 +123,7 @@ def test_all_regularized_runners_reach_scalar_optimum():
     # the objective, far below the tolerance)
     names = ["noncvx-pro", "ista", "fista-bb", "cd", "irls", "altmin", "quad-var", "lbfgsb-split"]
     for name in names:
-        tr = _runner(name)(scalar_problem(), None, 0, 500)
+        tr = _runner(name)(scalar_problem(), iters=500)
         assert tr.objectives[-1] == pytest.approx(1.5, abs=1e-6), name
 
 
@@ -139,17 +147,21 @@ def test_run_noncvxpro_multitask_shape_and_descent():
 # --------------------------------------------------------------------- races
 
 def test_budget_zero_keeps_only_the_initial_sample():
-    cfg = BenchConfig(
-        problem="synth:m=10,n=8,s=2",
-        solvers=("cd", "ista", "fista-bb", "noncvx-pro", "irls", "altmin", "quad-var", "lbfgsb-split"),
-        budget_s=0.0,
-        seed=0,
-    )
-    rep = run_benchmark(cfg)
-    assert not rep.failures
-    for tr in rep.traces:
-        assert tr.iterations == [0], tr.name
-        assert len(tr.objectives) == 1
+    # every race entry, on the lam > 0, the lam = 0 and the trace-norm races
+    races = [
+        ("synth:m=10,n=8,s=2", None,
+         ("cd", "ista", "fista-bb", "noncvx-pro", "irls", "altmin", "quad-var", "lbfgsb-split")),
+        ("synth:m=6,n=12,s=2", 0.0, ("noncvx-pro", "dr", "cp")),
+        ("mt:t=2,m=8,n=4", None, ("noncvx-pro", "irls-matrix")),
+    ]
+    for problem, lam, solvers in races:
+        cfg = BenchConfig(problem=problem, lambda_abs=lam, solvers=solvers, budget_s=0.0, seed=0)
+        rep = run_benchmark(cfg)
+        assert not rep.failures, problem
+        assert [tr.name for tr in rep.traces] == list(solvers)
+        for tr in rep.traces:
+            assert tr.iterations == [0], tr.name
+            assert len(tr.objectives) == 1
 
 
 def test_report_rows_and_f_star():

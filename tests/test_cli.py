@@ -38,6 +38,14 @@ def test_trace_reg_outside_mt_problems_is_config_error(capsys):
     assert "mt:" in capsys.readouterr().err
 
 
+def test_group_reg_without_groups_on_a_graph_is_config_error(tmp_path, capsys):
+    path = tmp_path / "edges.txt"
+    path.write_text("0 1\n1 2\n2 3\n")
+    rc = main(["solve", "--problem", f"graph:{path}", "--reg", "group", "--groups", "0"])
+    assert rc == EXIT_CONFIG
+    assert "--groups" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------- subcommands
 
 def test_bench_happy_path_writes_csv(tmp_path, capsys):

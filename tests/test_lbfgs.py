@@ -154,11 +154,11 @@ def test_full_memory_directions_match_dense_bfgs():
 
 
 def test_trace_is_monotone_and_aligned_with_iterations():
-    res = minimize(rosenbrock, np.array([-1.2, 1.0]))
-    assert len(res.trace) == res.iterations + 1
-    times = [t for t, _ in res.trace]
-    values = [f for _, f in res.trace]
-    assert all(t1 >= t0 for t0, t1 in zip(times, times[1:]))
+    # the callback sees the start and then every accepted step, in order
+    seen = []
+    res = minimize(rosenbrock, np.array([-1.2, 1.0]), callback=lambda k, x, f, g: seen.append((k, f)))
+    assert [k for k, _ in seen] == list(range(res.iterations + 1))
+    values = [f for _, f in seen]
     assert all(f1 < f0 for f0, f1 in zip(values, values[1:]))
     assert values[0] == pytest.approx(rosenbrock(np.array([-1.2, 1.0]))[0])
     assert res.nfev >= res.iterations + 1
