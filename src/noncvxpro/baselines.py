@@ -21,7 +21,7 @@ from .lbfgs import LbfgsConfig, last_point_cache, minimize_box
 from .linalg import DENSE_DIRECT_MAX, Side, cholesky_solve, operator_norm_estimate, range_solver, solve_spd, woodbury_side
 from .problems import BeckmannProblem, MultiTaskProblem, Problem, multitask_objective, primal_objective
 from .regularizers import GroupL2, L1, _shrink
-from .varpro import eval_state, recover_beta
+from .varpro import eval_state, inner_solve_primal, recover_beta
 
 
 class StepConditionViolated(ValueError):
@@ -261,10 +261,11 @@ def irls_matrix(mt: MultiTaskProblem, *, iters: int = 100, budget_s=None, seed: 
 def altmin_noncvx(prob: Problem, *, iters: int = 200, budget_s=None, seed: int = 0, v0=None) -> SolverTrace:
     """Exact alternating minimization of the split objective in u and v.
 
-    The u step is the inner ridge system at fixed v, solved by eval_state
-    on the side the shape picks.  The v step is the ridge problem in the
-    per-group weights whose design M = X diag(u), grouped to k columns, has
-    one row per entry of y; it too takes the smaller side, solving
+    The u step is the inner ridge system at fixed v, solved on the side the
+    shape picks: inner_solve_primal on the n side, eval_state's u on the m
+    side.  The v step is the ridge problem in the per-group weights whose
+    design M = X diag(u), grouped to k columns, has one row per entry of y;
+    it too takes the smaller side, solving
     (lam I + M^T M) v = M^T y on the k side and v = M^T (lam I + M M^T)^{-1} y
     on the m side.  Where the u step reads the cached Gram (n < m, dense),
     M^T M is summed per group from it without forming M, which stays fast
@@ -280,7 +281,8 @@ def altmin_noncvx(prob: Problem, *, iters: int = 200, budget_s=None, seed: int =
     lam, y = prob.lam, prob.y
     X = prob.X.toarray() if scipy.sparse.issparse(prob.X) else np.asarray(prob.X, float)
     # the Gram is read only where the u step forms it anyway; then k <= n < m
-    gram_side = woodbury_side(prob.m, n) is Side.PRIMAL_N and n <= DENSE_DIRECT_MAX
+    u_primal = woodbury_side(prob.m, n) is Side.PRIMAL_N
+    gram_side = u_primal and n <= DENSE_DIRECT_MAX
     k_side = woodbury_side(y.size, k) is Side.PRIMAL_N
     Xty = (X.T @ y).reshape(n, -1) if gram_side else None
     tr = SolverTrace("altmin", budget_s)
@@ -291,7 +293,7 @@ def altmin_noncvx(prob: Problem, *, iters: int = 200, budget_s=None, seed: int =
     for it in range(1, iters + 1):
         if tr.over():
             break
-        u = eval_state(prob, v).u
+        u = inner_solve_primal(prob, v) if u_primal else eval_state(prob, v).u
         U = u.reshape(n, -1)
         if gram_side:
             MtM = groups.sum_groups(groups.sum_groups(prob.gram * (U @ U.T)).T)

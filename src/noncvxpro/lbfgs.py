@@ -9,6 +9,7 @@ bounds the two entry points run the identical code path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -50,7 +51,12 @@ class OptimResult:
 
 
 def _finite(f: float, g: np.ndarray) -> float:
-    return f if np.isfinite(f) and np.all(np.isfinite(g)) else np.inf
+    return f if math.isfinite(f) and np.isfinite(g).all() else np.inf
+
+
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of a real vector by np.linalg.norm's own formula, sqrt(x . x)."""
+    return math.sqrt(x.dot(x))
 
 
 def _cubic_step(a_lo, f_lo, d_lo, a_hi, f_hi, d_hi):
@@ -144,20 +150,25 @@ class _LineSearch:
 
 
 def _two_loop(g: np.ndarray, pairs: list) -> np.ndarray:
+    """Two-loop recursion: the inverse-Hessian approximation applied to g.
+
+    Inner products use ndarray.dot, the BLAS ddot that the @ operator runs
+    on two vectors, without the operator's dispatch.
+    """
     q = g.copy()
     alphas = []
     for s, y, rho in reversed(pairs):
-        a = rho * float(s @ q)
+        a = rho * float(s.dot(q))
         q -= a * y
         alphas.append(a)
     if pairs:
         s, y, _ = pairs[-1]
-        gamma = float(s @ y) / float(y @ y)
+        gamma = float(s.dot(y)) / float(y.dot(y))
     else:
         gamma = 1.0
     r = gamma * q
     for (s, y, rho), a in zip(pairs, reversed(alphas)):
-        b = rho * float(y @ r)
+        b = rho * float(y.dot(r))
         r += s * (a - b)
     return r
 
@@ -181,7 +192,7 @@ def _engine(
     if _finite(f, g) == np.inf:
         raise ValueError("objective not finite at the starting point")
     if callback is not None and callback(0, x, f, g):
-        return OptimResult(x, f, float(np.linalg.norm(g)), 0, "callback_stop", nfev)
+        return OptimResult(x, f, _norm(g), 0, "callback_stop", nfev)
 
     pairs: list = []
     reason = "max_iters"
@@ -193,7 +204,7 @@ def _engine(
         else:
             active = None
             pg = g
-        if np.linalg.norm(pg) <= config.tol * (1.0 + abs(f)):
+        if _norm(pg) <= config.tol * (1.0 + abs(f)):
             reason = "converged"
             it -= 1
             break
@@ -207,12 +218,12 @@ def _engine(
             # Never let the quasi-Newton direction push a coordinate that
             # already sits on its bound further out.
             d[(x - lb <= _ACTIVE_EPS) & (d < 0)] = 0.0
-        dg = float(d @ g)
-        if dg >= -1e-14 * np.linalg.norm(d) * np.linalg.norm(g):
+        dg = float(d.dot(g))
+        if dg >= -1e-14 * _norm(d) * _norm(g):
             d = -gm
-            dg = float(d @ g)
+            dg = float(d.dot(g))
             if dg >= 0:
-                reason = "converged" if np.linalg.norm(pg) <= 1e-8 * (1 + abs(f)) else "line_search_failed"
+                reason = "converged" if _norm(pg) <= 1e-8 * (1 + abs(f)) else "line_search_failed"
                 break
 
         if bounded:
@@ -230,7 +241,7 @@ def _engine(
             fa, ga = oracle(xa)
             ga = np.asarray(ga, dtype=float)
             nfev += 1
-            return _finite(fa, ga), float(ga @ d), (xa, fa, ga)
+            return _finite(fa, ga), float(ga.dot(d)), (xa, fa, ga)
 
         ls = _LineSearch(phi, f, dg, config.c1, config.c2, config.max_ls)
         alpha, payload = ls.run(1.0, alpha_bd)
@@ -247,8 +258,8 @@ def _engine(
 
         s = x_new - x
         yv = g_new - g
-        sy = float(s @ yv)
-        if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(yv):
+        sy = float(s.dot(yv))
+        if sy > 1e-12 * _norm(s) * _norm(yv):
             pairs.append((s, yv, 1.0 / sy))
             if len(pairs) > config.memory:
                 pairs.pop(0)
@@ -257,7 +268,7 @@ def _engine(
             reason = "callback_stop"
             break
 
-    return OptimResult(x, f, float(np.linalg.norm(g)), it, reason, nfev)
+    return OptimResult(x, f, _norm(g), it, reason, nfev)
 
 
 def last_point_cache(fn: Callable):

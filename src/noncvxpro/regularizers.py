@@ -133,7 +133,7 @@ def _check_tau(tau: float) -> None:
 
 def _check_eta_vector(eta) -> np.ndarray:
     eta = np.asarray(eta, dtype=float)
-    if np.any(eta < 0):
+    if (eta < 0).any():
         raise NegativeEta("eta must be entrywise nonnegative")
     return eta
 
@@ -211,7 +211,7 @@ class Lq(Regularizer):
 
     def h_value(self, eta) -> float:
         eta = _check_eta_vector(eta)
-        return float(self.c_q * np.sum(eta ** (self.q / (2.0 - self.q))))
+        return float(self.c_q * (eta ** (self.q / (2.0 - self.q))).sum())
 
     def h_outer_grad(self, v):
         v = np.asarray(v, dtype=float)

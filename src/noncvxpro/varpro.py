@@ -126,7 +126,10 @@ def inner_solve_dual(prob: Problem, v: np.ndarray) -> np.ndarray:
     y = prob.y
     m = prob.m
     if m <= DENSE_DIRECT_MAX:
-        return solve_spd(_dual_matrix(prob, vbar2) + prob.lam * np.eye(m), -y)
+        K = _dual_matrix(prob, vbar2)
+        if prob.lam:
+            K.flat[:: m + 1] += prob.lam
+        return solve_spd(K, -y)
 
     X = prob.X
 
@@ -169,8 +172,8 @@ def eval_state(prob: Problem, v: np.ndarray, route: Side | None = None) -> VarPr
         xi = np.asarray(prob.X.T @ alpha, dtype=float)
         u = _scale_rows(-vbar, xi)
         s = groups.sumsq(xi)
-        fit = float(np.sum(_scale_rows(vbar, xi) ** 2))
-        f = half_h - float(np.sum(prob.y * alpha)) - 0.5 * lam * float(np.sum(alpha * alpha)) - 0.5 * fit
+        fit = float((_scale_rows(vbar, xi) ** 2).sum())
+        f = half_h - float((prob.y * alpha).sum()) - 0.5 * lam * float((alpha * alpha).sum()) - 0.5 * fit
         grad = outer - v * s
     else:
         u = inner_solve_primal(prob, v)
@@ -178,8 +181,8 @@ def eval_state(prob: Problem, v: np.ndarray, route: Side | None = None) -> VarPr
         r = np.asarray(prob.X @ beta) - prob.y
         alpha = r / lam
         xi = np.asarray(prob.X.T @ alpha, dtype=float)
-        f = half_h + 0.5 * float(np.sum(u * u)) + float(np.sum(r * r)) / (2.0 * lam)
-        inner = u * xi if u.ndim == 1 else np.sum(u * xi, axis=1)
+        f = half_h + 0.5 * float((u * u).sum()) + float((r * r).sum()) / (2.0 * lam)
+        inner = u * xi if u.ndim == 1 else (u * xi).sum(axis=1)
         grad = outer + groups.sum_groups(inner)
     return VarProState(v=v, u=u, alpha=alpha, xi=xi, f=float(f), grad=grad)
 

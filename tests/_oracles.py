@@ -77,6 +77,30 @@ def dense_bfgs_direction(pairs, g):
     return -H @ g
 
 
+def two_loop_reference(g, pairs):
+    """The L-BFGS two-loop recursion as first written, inner products by @.
+
+    pairs holds (s, y, rho) oldest first.  The package's recursion must
+    return the same bits.
+    """
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        a = rho * float(s @ q)
+        q -= a * y
+        alphas.append(a)
+    if pairs:
+        s, y, _ = pairs[-1]
+        gamma = float(s @ y) / float(y @ y)
+    else:
+        gamma = 1.0
+    r = gamma * q
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+        b = rho * float(y @ r)
+        r += s * (a - b)
+    return r
+
+
 def random_group_problem(rng, m_max=30, n_max=30, lam_frac=10.0, reg_kind="group"):
     """Small random group-Lasso instance with lam a fraction of lambda_max."""
     from noncvxpro.problems import Problem

@@ -19,6 +19,7 @@ from noncvxpro.bench import (
     run_benchmark,
     run_noncvxpro,
 )
+from noncvxpro import linalg
 from noncvxpro.baselines import coordinate_descent_lasso
 from noncvxpro.lbfgs import LbfgsConfig
 from noncvxpro.problems import MultiTaskProblem, Problem
@@ -265,6 +266,29 @@ def test_phase_zero_sparsity_always_recovers():
 def test_phase_rejects_oversized_support():
     with pytest.raises(ValueError):
         lq_phase_experiment(6, 4, [4, 8], [1.0])
+
+
+def test_lam_zero_path_writes_nothing_to_stdout_or_stderr(capfd, monkeypatch):
+    # LAPACK reports an illegal argument by printing to fd 1 from C, where a
+    # benchmark's last output line must be its JSON result; the sweep's
+    # Cholesky failures fall back to the range solve, and the race adds the
+    # feasibility lstsq and the DR/CP projector
+    fallbacks = []
+    range_solver = linalg.range_solver
+
+    def counting(A):
+        fallbacks.append(A.shape)
+        return range_solver(A)
+
+    monkeypatch.setattr(linalg, "range_solver", counting)
+    tab = lq_phase_experiment(32, 5, [12, 16], [0.8, 1.0], trials=2, restarts=5, seed=1, max_iters=100)
+    assert fallbacks
+    cfg = BenchConfig(problem="synth:m=20,n=60,s=4", lambda_abs=0.0, solvers=("noncvx-pro", "dr", "cp"),
+                      iters=300, seed=2)
+    rep = run_benchmark(cfg)
+    assert not rep.failures and len(rep.traces) == 3
+    assert all(0 <= c <= 2 for c in tab.success[0.8] + tab.success[1.0])
+    assert capfd.readouterr() == ("", "")
 
 
 def test_phase_csv_layout(tmp_path):

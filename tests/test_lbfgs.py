@@ -2,14 +2,14 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
-from noncvxpro.lbfgs import LbfgsConfig, minimize, minimize_box
+from noncvxpro.lbfgs import LbfgsConfig, _norm, _two_loop, minimize, minimize_box
 from noncvxpro.problems import Problem
 from noncvxpro.regularizers import L1
 from noncvxpro.varpro import eval_state
 
-from _oracles import dense_bfgs_direction
+from _oracles import dense_bfgs_direction, two_loop_reference
 
 
 def rosenbrock(x):
@@ -151,6 +151,41 @@ def test_full_memory_directions_match_dense_bfgs():
         if float(s @ y) > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
             pairs.append((s, y))
     assert compared >= 5
+
+
+@pytest.mark.parametrize("npairs", [0, 1, 10])
+def test_two_loop_matches_reference_bit_for_bit(npairs):
+    rng = np.random.default_rng(npairs)
+    d = 30
+    pairs = []
+    for _ in range(npairs):
+        s = rng.standard_normal(d)
+        y = s + 0.3 * rng.standard_normal(d)
+        pairs.append((s, y, 1.0 / float(s @ y)))
+    g = rng.standard_normal(d)
+    g_before = g.copy()
+    assert_array_equal(_two_loop(g, pairs), two_loop_reference(g, pairs))
+    assert_array_equal(g, g_before)
+
+
+@pytest.mark.parametrize("x", [
+    np.zeros(7),
+    np.random.default_rng(1).standard_normal(1),
+    np.random.default_rng(2).standard_normal(30),
+    1e-150 * np.random.default_rng(3).standard_normal(1000),
+], ids=["zero", "one", "thirty", "tiny"])
+def test_norm_is_numpys_norm(x):
+    assert _norm(x) == np.linalg.norm(x)
+    assert type(_norm(x)) is float
+
+
+def test_norm_overflows_like_numpys_norm():
+    # x . x overflows near 1e200: both return inf, and numpy warns in both
+    x = np.full(5, 1e200)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        ref = np.linalg.norm(x)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert _norm(x) == ref == np.inf
 
 
 def test_trace_is_monotone_and_aligned_with_iterations():

@@ -1,10 +1,9 @@
 """Linear algebra kernels: SPD solves, norm estimation, side selection."""
 
-import warnings
-
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+import scipy.linalg
+from numpy.testing import assert_allclose, assert_array_equal
 
 from noncvxpro.linalg import (
     DimensionMismatch,
@@ -53,6 +52,61 @@ def test_cholesky_rejects_bad_shapes():
         cholesky_solve(np.eye(3), np.ones(2))
     with pytest.raises(DimensionMismatch):
         cholesky_solve(np.ones((2, 3)), np.ones(2))
+
+
+def cho_reference(A, b):
+    # scipy's wrappers around the LAPACK calls cholesky_solve makes: the
+    # reference it must match bit for bit
+    c = scipy.linalg.cho_factor(A, lower=True, check_finite=False)
+    return scipy.linalg.cho_solve(c, b, check_finite=False)
+
+
+def spd(rng, n):
+    M = rng.standard_normal((n + 5, n))
+    return M.T @ M
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("cols", [None, 2])
+def test_cholesky_matches_scipy_bit_for_bit(order, cols):
+    rng = np.random.default_rng(11)
+    A = np.asarray(spd(rng, 24), order=order)
+    b = rng.standard_normal(24 if cols is None else (24, cols))
+    x = cholesky_solve(A, b)
+    assert x.shape == b.shape
+    assert_array_equal(x, cho_reference(A, b))
+
+
+def test_cholesky_rejects_what_scipy_rejects():
+    rng = np.random.default_rng(12)
+    A = spd(rng, 10)
+    A[7, 7] = -A[7, 7]
+    with pytest.raises(scipy.linalg.LinAlgError):
+        cho_reference(A, np.ones(10))
+    with pytest.raises(NotSpd, match="8-th leading minor"):
+        cholesky_solve(A, np.ones(10))
+
+
+@pytest.mark.parametrize("where", [(2, 2), (4, 1), (1, 4)], ids=["diagonal", "lower", "upper"])
+def test_cholesky_with_a_nan_entry_keeps_its_result_and_prints_nothing(capfd, where):
+    # a NaN passes the symmetry check; whatever LAPACK then makes of it (a
+    # failed pivot, a NaN solution, or nothing for the unread upper triangle)
+    # must be what scipy's wrappers gave, with no message from the library
+    A = spd(np.random.default_rng(13), 6)
+    A[where] = np.nan
+    b = np.ones(6)
+    try:
+        ref = cho_reference(A, b)
+    except scipy.linalg.LinAlgError:
+        with pytest.raises(NotSpd):
+            cholesky_solve(A, b)
+    else:
+        assert_array_equal(cholesky_solve(A, b), ref)
+    assert capfd.readouterr() == ("", "")
+
+
+def test_cholesky_empty_right_hand_side():
+    assert cholesky_solve(np.eye(3), np.zeros((3, 0))).shape == (3, 0)
 
 
 def test_cg_identity_in_one_iteration():
@@ -131,14 +185,6 @@ def test_solve_spd_operator_matches_cholesky_columnwise():
     assert_allclose(solve_spd(lambda w: A @ w, b), cholesky_solve(A, b), rtol=1e-8, atol=1e-10)
 
 
-@pytest.fixture
-def no_warnings():
-    # the singular path must not lean on a division by zero or an invalid value
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        yield
-
-
 def eigh_pseudo_solve(A, b):
     # the eigenvalue-cutoff formula the lam = 0 dual solve carried before
     # range_solver took it over, kept as the reference
@@ -149,7 +195,7 @@ def eigh_pseudo_solve(A, b):
     return V @ (inv * coef if coef.ndim == 1 else inv[:, None] * coef)
 
 
-def test_range_solver_matches_eigh_reference(no_warnings):
+def test_range_solver_matches_eigh_reference():
     # a rank-5 PSD matrix of order 8, with one and two consistent right-hand sides
     rng = np.random.default_rng(9)
     M = rng.standard_normal((8, 5))
@@ -162,7 +208,7 @@ def test_range_solver_matches_eigh_reference(no_warnings):
         assert np.linalg.norm(A @ x - b) <= 1e-10 * (1.0 + np.linalg.norm(b))
 
 
-def test_range_solver_returns_minimum_norm_solution(no_warnings):
+def test_range_solver_returns_minimum_norm_solution():
     # A = [[1, 1], [1, 1]] maps (1, 1) and (2, 0) alike to (2, 2); the
     # minimum-norm solution is the one orthogonal to the kernel (1, -1)
     A = np.ones((2, 2))
@@ -170,7 +216,7 @@ def test_range_solver_returns_minimum_norm_solution(no_warnings):
     assert_allclose(range_solver(np.zeros((2, 2)))(np.zeros(2)), [0.0, 0.0])
 
 
-def test_range_solver_raises_on_unreachable_rhs(no_warnings):
+def test_range_solver_raises_on_unreachable_rhs():
     solve = range_solver(np.ones((2, 2)))
     with pytest.raises(InconsistentSystem):
         solve(np.array([1.0, 2.0]))
@@ -180,7 +226,7 @@ def test_range_solver_raises_on_unreachable_rhs(no_warnings):
         range_solver(np.zeros((2, 2)))(np.ones(2))
 
 
-def test_solve_spd_dense_singular_system(no_warnings):
+def test_solve_spd_dense_singular_system():
     # Cholesky fails on diag(1, 0); the range solve takes over and checks
     A = np.diag([1.0, 0.0])
     assert_allclose(solve_spd(A, np.array([2.0, 0.0])), [2.0, 0.0], atol=1e-14)
