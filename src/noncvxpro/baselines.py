@@ -415,23 +415,29 @@ def _as_constrained(prob) -> Problem:
 
 
 class _AffineProjector:
-    """Projection onto {beta : X beta = y}; factor X X^T once, reuse.
+    """Projection onto {beta : X beta = y}: beta + X^T (X X^T)^+ (y - X beta).
 
-    The factor is linalg.range_solver's, so a singular X X^T (the graph
-    Laplacian of a divergence matrix, whose kernel is the constants) is
-    solved on its range, and a y that X cannot reach raises
-    InconsistentSystem instead of returning an infeasible point.
+    The m x m pseudo-inverse K^+ of K = X X^T is formed once, here, by two of
+    linalg.range_solver's checked solves: solve(K) is the projector onto
+    range(K) and solve of that is K^+.  A singular K (the graph Laplacian of
+    a divergence matrix, whose kernel is the constants) is so inverted on
+    its range.  y is solved once too, so a y that X cannot reach raises
+    InconsistentSystem here instead of yielding infeasible points.  Every
+    residual y - X beta then lies in range(X) = range(K), and a projection
+    is three matvecs, with X kept sparse when it is.
     """
 
     def __init__(self, X, y):
         self.X = X
+        self.Xt = X.T
         self.y = y
         K = (X @ X.T).toarray() if scipy.sparse.issparse(X) else X @ X.T
-        self._solve = range_solver(K)
+        solve = range_solver(K)
+        solve(y)
+        self.K_pinv = solve(solve(K))
 
     def __call__(self, beta):
-        resid = self.y - np.asarray(self.X @ beta)
-        return beta + np.asarray(self.X.T @ self._solve(resid))
+        return beta + np.asarray(self.Xt @ (self.K_pinv @ (self.y - np.asarray(self.X @ beta))))
 
 
 def douglas_rachford_bp(prob, *, iters: int = 500, budget_s=None, seed: int = 0,
@@ -441,7 +447,8 @@ def douglas_rachford_bp(prob, *, iters: int = 500, budget_s=None, seed: int = 0,
     beta_k is the affine projection of z_k onto X beta = y, hence always
     feasible; the reflected group soft-threshold then pulls toward small
     norm.  gamma in (0, 2) averages the reflections (1 recovers the classic
-    scheme).
+    scheme).  The projector's (X X^T)^+ is formed once, before the clock
+    starts, and an unreachable y raises InconsistentSystem there.
     """
     if not 0 < gamma < 2:
         raise ValueError("gamma must lie in (0, 2)")
@@ -471,7 +478,8 @@ def chambolle_pock_bp(prob, *, iters: int = 500, budget_s=None, seed: int = 0, s
     both with tau * sigma * ||X||^2 >= 1 is rejected up front.  Objectives
     are reported on the affine projection of the running iterate (the raw
     iterates are infeasible until convergence); the returned beta is the
-    projected final iterate.
+    projected final iterate.  The projector's (X X^T)^+ is formed once, before
+    the clock starts, and an unreachable y raises InconsistentSystem there.
     """
     if not 0 < theta <= 1:
         raise ValueError("theta must lie in (0, 1]")
@@ -493,12 +501,13 @@ def chambolle_pock_bp(prob, *, iters: int = 500, budget_s=None, seed: int = 0, s
     beta = np.zeros(p.n)
     beta_bar = beta.copy()
     w = np.zeros(p.m)
+    sigma_y = sigma * y
     tr = SolverTrace("cp", budget_s)
     tr.record(0, p.reg.r_value(proj(beta)))
     for k in range(1, iters + 1):
         if tr.over():
             break
-        w = w + sigma * np.asarray(X @ beta_bar) - sigma * y
+        w = w + sigma * np.asarray(X @ beta_bar) - sigma_y
         beta_new = p.reg.prox(beta - tau * np.asarray(X.T @ w), tau)
         beta_bar = beta_new + theta * (beta_new - beta)
         beta = beta_new

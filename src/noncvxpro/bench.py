@@ -128,9 +128,9 @@ def load_problem(config: BenchConfig):
             m, n, s = int(kv["m"]), int(kv["n"]), int(kv.get("s", max(1, int(kv["n"]) // 10)))
             noise = float(kv.get("noise", 0.0))
             reg = _build_reg(config.reg, n, config.groups)
-            prob, _ = synth_lasso(m, n, s, seed=config.seed, lam=1.0, noise=noise, reg=reg)
-            lam = _resolve_lambda(config, prob.X, prob.y, reg)
-            return Problem(prob.X, prob.y, lam, reg)
+            prob, _ = synth_lasso(m, n, s, seed=config.seed, noise=noise, reg=reg,
+                                  lam=lambda X, y: _resolve_lambda(config, X, y, reg))
+            return prob
         if kind == "libsvm":
             with open(body.split(",")[0]) as fh:
                 X, y = parse_libsvm(fh)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse
@@ -84,6 +84,11 @@ class Problem:
             )
         if self.lam < 0:
             raise ValueError("lam must be nonnegative")
+        # before the lam = 0 lstsq: on NaN data LAPACK prints to fd 1 or does not return
+        if not np.isfinite(self.X.data if scipy.sparse.issparse(self.X) else self.X).all():
+            raise ValueError("X has a non-finite entry")
+        if not np.isfinite(self.y).all():
+            raise ValueError("y has a non-finite entry")
         if self.lam == 0 and _min_residual_norm(self.X, self.y) > _feas_tol(self.y):
             raise InfeasibleAtLambdaZero("y is not in the range of X")
 
@@ -258,15 +263,16 @@ def synth_lasso(
     n: int,
     s: int,
     seed: int = 0,
-    lam: float | None = None,
+    lam: float | Callable[[np.ndarray, np.ndarray], float] | None = None,
     noise: float = 0.0,
     reg: Regularizer | None = None,
 ) -> tuple:
     """Gaussian design with an s-sparse Gaussian ground truth.
 
     y = X beta_true (+ noise * standard normal).  lam defaults to a tenth
-    of lambda_max computed on the generated data; pass lam=0 for the
-    constrained problem (requires noise = 0 so y stays reachable).
+    of lambda_max computed on the generated data, and a callable lam is
+    called on (X, y) to give it; pass lam=0 for the constrained problem
+    (requires noise = 0 so y stays reachable).
 
     Returns
     -------
@@ -288,6 +294,8 @@ def synth_lasso(
         from .regularizers import lambda_max
 
         lam = 0.1 * lambda_max(X, y, L1()) if np.any(y) else 1.0
+    elif callable(lam):
+        lam = lam(X, y)
     return Problem(X, y, lam, reg), beta_true
 
 

@@ -3,6 +3,9 @@
 import itertools
 
 import numpy as np
+import scipy.sparse
+
+from noncvxpro.linalg import range_solver
 
 
 def fd_grad(fun, x, h=1e-6):
@@ -54,6 +57,21 @@ def min_l1_flow(X, y, tol=1e-9):
             if resid <= tol * scale and (best is None or val < best):
                 best = val
     return best
+
+
+def affine_projection_reference(X, y):
+    """Projection onto {beta : X beta = y} by one checked range solve per call.
+
+    Factors X X^T once with range_solver and, on every call, solves for the
+    residual y - X beta (checking its consistency) before applying X^T.
+    """
+    K = (X @ X.T).toarray() if scipy.sparse.issparse(X) else X @ X.T
+    solve = range_solver(K)
+
+    def project(beta):
+        return beta + np.asarray(X.T @ solve(y - np.asarray(X @ beta)))
+
+    return project
 
 
 def dense_bfgs_direction(pairs, g):

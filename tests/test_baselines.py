@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
 from numpy.testing import assert_allclose
 
 from noncvxpro import baselines, varpro
@@ -29,7 +30,7 @@ from noncvxpro.problems import (
 )
 from noncvxpro.regularizers import GroupL2, GroupStructure, L1, lambda_max
 
-from _oracles import fd_grad, min_l1_flow, random_group_problem
+from _oracles import affine_projection_reference, fd_grad, min_l1_flow, random_group_problem
 
 
 def scalar_problem():
@@ -437,10 +438,10 @@ def test_affine_projector_idempotent_and_feasible():
 
 def test_affine_projector_raises_on_unreachable_y():
     # X X^T = [[2, 2], [2, 2]] is singular and y = (1, 2) is off its range:
-    # no beta satisfies X beta = y, so the projector must not return one
-    proj = _AffineProjector(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0]]), np.array([1.0, 2.0]))
+    # no beta satisfies X beta = y, so the projector must not return one:
+    # it checks y once, when it is built
     with pytest.raises(InconsistentSystem):
-        proj(np.zeros(3))
+        _AffineProjector(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0]]), np.array([1.0, 2.0]))
 
 
 def test_affine_projector_on_path_flow_laplacian():
@@ -454,6 +455,55 @@ def test_affine_projector_on_path_flow_laplacian():
     p1 = proj(z)
     assert np.linalg.norm(X @ p1 - p.y) <= 1e-12 * (1.0 + np.linalg.norm(p.y))
     assert_allclose(proj(p1), p1, atol=1e-12)
+
+
+def _projector_cases():
+    rng = np.random.default_rng(14)
+    X = rng.standard_normal((60, 200))
+    path = path_flow_problem().to_problem()
+    edges = [(i, i + 1) for i in range(8) if i % 3 != 2] + [(i, i + 3) for i in range(6)]
+    grid = BeckmannProblem(9, edges, np.eye(9)[0], np.eye(9)[8])
+    return [
+        pytest.param(X, X @ rng.standard_normal(200), id="gaussian-60x200"),
+        pytest.param(dense(path.X), path.y, id="path-flow-laplacian"),
+        pytest.param(scipy.sparse.csr_matrix(grid.X), grid.y, id="csr-grid-incidence"),
+    ]
+
+
+@pytest.mark.parametrize("X, y", _projector_cases())
+def test_affine_projector_matches_per_call_range_solve(X, y):
+    proj = _AffineProjector(X, y)
+    ref = affine_projection_reference(X, y)
+    rng = np.random.default_rng(15)
+    for z in (np.zeros(X.shape[1]), rng.standard_normal(X.shape[1]), 1e3 * rng.standard_normal(X.shape[1])):
+        want = ref(z)
+        assert np.linalg.norm(proj(z) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("solver", [douglas_rachford_bp, chambolle_pock_bp])
+def test_splitting_runs_build_one_range_solver_and_no_solve_per_iteration(monkeypatch, solver):
+    builds, solves = [], []
+    range_solver = baselines.range_solver
+
+    def counting(A):
+        builds.append(A.shape)
+        solve = range_solver(A)
+
+        def counted(b):
+            solves.append(b.shape)
+            return solve(b)
+
+        return counted
+
+    monkeypatch.setattr(baselines, "range_solver", counting)
+    p = path_flow_problem()
+    for iters in (5, 50):
+        builds.clear()
+        solves.clear()
+        tr = solver(p, iters=iters)
+        assert len(tr.objectives) == iters + 1
+        assert builds == [(4, 4)]
+        assert solves == [(4,), (4, 4), (4, 4)]
 
 
 def test_dr_zero_data_stays_at_zero():

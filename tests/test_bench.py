@@ -19,13 +19,13 @@ from noncvxpro.bench import (
     run_benchmark,
     run_noncvxpro,
 )
-from noncvxpro import linalg
-from noncvxpro.baselines import coordinate_descent_lasso
+from noncvxpro import baselines, linalg
+from noncvxpro.baselines import chambolle_pock_bp, coordinate_descent_lasso, douglas_rachford_bp
 from noncvxpro.lbfgs import LbfgsConfig
 from noncvxpro.problems import MultiTaskProblem, Problem
 from noncvxpro.regularizers import L1, GroupL2, Lq, lambda_max
 
-from _oracles import random_group_problem
+from _oracles import affine_projection_reference, random_group_problem
 
 
 def scalar_problem():
@@ -61,6 +61,23 @@ def test_synth_problem_has_default_lambda_fraction():
     prob = load_problem(cfg)
     assert prob.X.shape == (20, 40)
     assert prob.lam == pytest.approx(lambda_max(prob.X, prob.y, L1()) / 10.0)
+
+
+def test_synth_load_builds_one_problem(monkeypatch):
+    # the data checks (finiteness, and feasibility at lam = 0) run once per load
+    built = []
+    post_init = Problem.__post_init__
+
+    def counting(self):
+        built.append(self.lam)
+        post_init(self)
+
+    monkeypatch.setattr(Problem, "__post_init__", counting)
+    for cfg in (BenchConfig(problem="synth:m=20,n=40,s=5", seed=3),
+                BenchConfig(problem="synth:m=20,n=40,s=5", seed=3, lambda_abs=0.0)):
+        built.clear()
+        prob = load_problem(cfg)
+        assert built == [prob.lam]
 
 
 def test_absolute_lambda_wins_over_fraction():
@@ -289,6 +306,22 @@ def test_lam_zero_path_writes_nothing_to_stdout_or_stderr(capfd, monkeypatch):
     assert not rep.failures and len(rep.traces) == 3
     assert all(0 <= c <= 2 for c in tab.success[0.8] + tab.success[1.0])
     assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("seed", range(1000, 1008))
+def test_splitting_traces_match_the_per_call_range_solve(monkeypatch, seed):
+    # the lq-phase race instances at its 3000 iterations: the operator
+    # formed once must trace what a checked range solve per projection did
+    prob = load_problem(BenchConfig(problem="synth:m=60,n=200,s=8", lambda_abs=0.0, seed=seed))
+    for solver in (douglas_rachford_bp, chambolle_pock_bp):
+        tr = solver(prob, iters=3000)
+        with monkeypatch.context() as mp:
+            mp.setattr(baselines, "_AffineProjector", affine_projection_reference)
+            ref = solver(prob, iters=3000)
+        assert len(tr.objectives) == len(ref.objectives) == 3001
+        assert_allclose(tr.objectives, ref.objectives, rtol=1e-12, atol=0)
+        feas = np.linalg.norm(prob.X @ tr.beta - prob.y) / np.linalg.norm(prob.y)
+        assert feas <= 1e-12, (solver.__name__, feas)
 
 
 def test_phase_csv_layout(tmp_path):

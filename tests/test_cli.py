@@ -82,6 +82,16 @@ def test_solve_reports_solver_failure(capsys):
     assert "FAILED" in capsys.readouterr().err
 
 
+def test_non_finite_libsvm_data_is_problem_error_with_empty_stdout(tmp_path, capfd):
+    path = tmp_path / "nan.svm"
+    path.write_text("1 1:1.0 2:0.5\n-1 1:0.3 2:nan\n0.5 1:2.0 3:1.0\n2 2:1.5 3:0.2\n")
+    rc = main(["solve", "--problem", f"libsvm:{path}", "--lambda", "0"])
+    assert rc == EXIT_PROBLEM
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert "X has a non-finite entry" in err
+
+
 def test_lq_phase_tiny_run(tmp_path, capsys):
     out = tmp_path / "phase.csv"
     rc = main(

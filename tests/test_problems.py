@@ -123,6 +123,18 @@ def test_synth_lasso_deterministic_per_seed():
     assert p1.lam == p2.lam
 
 
+def test_synth_lasso_callable_lambda_sees_the_data():
+    seen = []
+
+    def lam(X, y):
+        seen.append((X, y))
+        return 0.25
+
+    prob, _ = synth_lasso(10, 12, 3, seed=7, lam=lam)
+    assert prob.lam == 0.25
+    assert len(seen) == 1 and seen[0][0] is prob.X and seen[0][1] is prob.y
+
+
 # ---------------------------------------------------------------- incidence
 
 def test_incidence_path_graph():
@@ -165,6 +177,22 @@ def test_problem_lambda_zero_needs_reachable_target():
     with pytest.raises(InfeasibleAtLambdaZero):
         Problem(X, np.array([0.0, 1.0]), 0.0, L1())
     Problem(X, np.array([2.0, 0.0]), 0.0, L1())  # reachable: fine
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_problem_rejects_non_finite_design_before_lapack(capfd, lam):
+    # the check must come before the lam = 0 feasibility lstsq: on NaN data
+    # LAPACK prints to fd 1, and on some designs (a NaN on eye(3)'s
+    # diagonal) it does not return; this design raises without the check
+    X = np.arange(1.0, 10.0).reshape(3, 3)
+    X[1, 1] = np.nan
+    with pytest.raises(ValueError, match="X has a non-finite entry"):
+        Problem(X, np.ones(3), lam, L1())
+    with pytest.raises(ValueError, match="X has a non-finite entry"):
+        Problem(scipy.sparse.csr_matrix(X), np.ones(3), lam, L1())
+    with pytest.raises(ValueError, match="y has a non-finite entry"):
+        Problem(np.eye(3), np.array([1.0, np.inf, 0.0]), lam, L1())
+    assert capfd.readouterr() == ("", "")
 
 
 def test_multitask_validation():
