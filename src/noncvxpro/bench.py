@@ -14,6 +14,7 @@ import numpy as np
 
 from . import baselines
 from .lbfgs import LbfgsConfig, last_point_cache, minimize
+from .linalg import InconsistentSystem, NonFiniteEncountered
 from .problems import (
     BeckmannProblem,
     InfeasibleAtLambdaZero,
@@ -26,7 +27,7 @@ from .problems import (
     synth_lasso,
 )
 from .regularizers import GroupL2, GroupStructure, L1, Lq, lambda_max
-from .varpro import InconsistentSystem, eval_state, f_and_grad_matrix, recover_beta
+from .varpro import eval_state, f_and_grad_matrix, recover_beta
 
 
 class ConfigError(ValueError):
@@ -191,14 +192,15 @@ def _resolve_lambda(config: BenchConfig, X, y, reg) -> float:
 
 
 def _state_oracle(prob):
-    """L-BFGS oracle over eval_state (infinite where y is unreachable), and
-    a reader of the VarProState at a point that reuses the oracle's last one."""
+    """L-BFGS oracle over eval_state (infinite where y is unreachable or the
+    inner matrix is not finite), and a reader of the VarProState at a point
+    that reuses the oracle's last one."""
     eval_at, state_at = last_point_cache(lambda v: eval_state(prob, v))
 
     def oracle(v):
         try:
             st = eval_at(v)
-        except InconsistentSystem:
+        except (InconsistentSystem, NonFiniteEncountered):
             return np.inf, np.zeros_like(v)
         return st.f, st.grad
 

@@ -42,7 +42,8 @@ class DimensionMismatch(ValueError):
 
 
 class NonFiniteEncountered(FloatingPointError):
-    """A NaN or Inf appeared during an iterative solve."""
+    """A NaN or Inf is in a matrix handed to a direct solve, or appeared
+    during an iterative one."""
 
 
 class InconsistentSystem(ValueError):
@@ -81,7 +82,9 @@ def cholesky_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     Runs LAPACK potrf on the lower triangle, then potrs, as
     scipy.linalg.cho_solve(cho_factor(A, lower=True), b) does with
     check_finite=False, and returns the same bits.  Only the lower triangle
-    is factorized; the symmetry check covers the rest.
+    is factorized; the symmetry check covers the rest, and the largest
+    entry, which that check needs anyway, rejects a non-finite A (potrf
+    passes a NaN pivot and never reads the upper triangle).
 
     Parameters
     ----------
@@ -99,6 +102,8 @@ def cholesky_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     ------
     NotSpd
         If A is asymmetric beyond tolerance or a Cholesky pivot fails.
+    NonFiniteEncountered
+        If A holds a NaN or an Inf.
     DimensionMismatch
         If shapes are inconsistent.
     """
@@ -109,6 +114,8 @@ def cholesky_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     if b.shape[0] != A.shape[0]:
         raise DimensionMismatch(f"A is {A.shape} but b has leading dim {b.shape[0]}")
     scale = np.abs(A).max()
+    if not np.isfinite(scale):
+        raise NonFiniteEncountered("matrix holds a NaN or an Inf")
     if scale > 0 and np.abs(A - A.T).max() > 1e-10 * scale:
         raise NotSpd("matrix is not symmetric within 1e-10 relative")
     c, info = _potrf(A, lower=True, clean=False)
@@ -287,9 +294,13 @@ def range_solver(A: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     Eigenvalues at or below 1e-13 of the largest count as zero, and
     solve(b) returns the minimum-norm solution for a vector or matrix b.
     It raises InconsistentSystem when ||A x - b|| > 1e-7 (1 + ||b||), that
-    is when b is not in the range of A.
+    is when b is not in the range of A, and NonFiniteEncountered at once
+    when A holds a NaN or an Inf, for which eigh returns NaN eigenvalues
+    without raising.
     """
     A = np.asarray(A, dtype=float)
+    if not np.isfinite(A).all():
+        raise NonFiniteEncountered("matrix holds a NaN or an Inf")
     evals, V = np.linalg.eigh(A)
     cut = 1e-13 * max(evals.max(), np.finfo(float).tiny)
     inv = np.where(evals > cut, 1.0 / np.where(evals > cut, evals, 1.0), 0.0)

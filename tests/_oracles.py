@@ -74,6 +74,18 @@ def affine_projection_reference(X, y):
     return project
 
 
+def dual_matrix_reference(X, vbar):
+    """X diag(vbar^2) X^T as the general product (X diag(vbar^2)) X^T.
+
+    The form the m-sized inner system was first built with; the package
+    forms it as A A^T with A = X diag(vbar), which rounds differently.
+    """
+    vbar2 = vbar * vbar
+    if scipy.sparse.issparse(X):
+        return (X.multiply(vbar2) @ X.T).toarray()
+    return (X * vbar2) @ X.T
+
+
 def dense_bfgs_direction(pairs, g):
     """Search direction from the textbook BFGS inverse-Hessian update.
 

@@ -182,6 +182,22 @@ def test_budget_zero_keeps_only_the_initial_sample():
             assert len(tr.objectives) == 1
 
 
+@pytest.mark.parametrize("base", [3000, 5000])
+def test_lam_zero_races_print_nothing_and_fail_nothing(capfd, base):
+    # the lq-phase benchmark's race instances of seeds 3 and 5: no solver
+    # fails, and no library message (such as LAPACK's on non-finite input,
+    # which libc flushes at exit, after the result line) reaches fd 1 or 2
+    for seed in range(base, base + 8):
+        cfg = BenchConfig(problem="synth:m=60,n=200,s=8", lambda_frac=None, lambda_abs=0.0,
+                          solvers=("noncvx-pro", "dr", "cp"), iters=3000, seed=seed)
+        rep = run_benchmark(cfg)
+        assert not rep.failures, (seed, rep.failures)
+        assert [tr.name for tr in rep.traces] == ["noncvx-pro", "dr", "cp"]
+        for tr in rep.traces:
+            assert tr.beta is not None and np.isfinite(tr.beta).all(), (seed, tr.name)
+    assert capfd.readouterr() == ("", "")
+
+
 def test_report_rows_and_f_star():
     cfg = BenchConfig(problem="synth:m=12,n=10,s=3", solvers=("cd", "fista-bb"), seed=0)
     rep = run_benchmark(cfg)

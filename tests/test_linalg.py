@@ -88,20 +88,19 @@ def test_cholesky_rejects_what_scipy_rejects():
 
 
 @pytest.mark.parametrize("where", [(2, 2), (4, 1), (1, 4)], ids=["diagonal", "lower", "upper"])
-def test_cholesky_with_a_nan_entry_keeps_its_result_and_prints_nothing(capfd, where):
-    # a NaN passes the symmetry check; whatever LAPACK then makes of it (a
-    # failed pivot, a NaN solution, or nothing for the unread upper triangle)
-    # must be what scipy's wrappers gave, with no message from the library
-    A = spd(np.random.default_rng(13), 6)
-    A[where] = np.nan
-    b = np.ones(6)
-    try:
-        ref = cho_reference(A, b)
-    except scipy.linalg.LinAlgError:
-        with pytest.raises(NotSpd):
+def test_non_finite_entry_raises_before_lapack_and_prints_nothing(capfd, where):
+    # potrf passes a NaN pivot and never reads the upper triangle, and eigh
+    # returns NaN eigenvalues without raising: both solves must refuse first
+    for bad in (np.nan, np.inf):
+        A = spd(np.random.default_rng(13), 6)
+        A[where] = bad
+        b = np.ones(6)
+        with pytest.raises(NonFiniteEncountered):
             cholesky_solve(A, b)
-    else:
-        assert_array_equal(cholesky_solve(A, b), ref)
+        with pytest.raises(NonFiniteEncountered):
+            solve_spd(A, b)
+        with pytest.raises(NonFiniteEncountered):
+            range_solver(A)
     assert capfd.readouterr() == ("", "")
 
 

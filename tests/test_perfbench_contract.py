@@ -29,9 +29,13 @@ def test_one_second_run_ends_in_a_strict_json_result(workload):
         [sys.executable, *BENCHMARK["command"][1:], "--workload", workload, "--seed", "1", "--seconds", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == ""
-    result = json.loads(proc.stdout.splitlines()[-1], parse_constant=_reject_constant)
+    tail = "\n".join(proc.stdout.splitlines()[-5:])
+    assert proc.returncode == 0, (proc.stderr, tail)
+    assert proc.stderr == "", tail
+    try:
+        result = json.loads(proc.stdout.splitlines()[-1], parse_constant=_reject_constant)
+    except (IndexError, ValueError) as exc:
+        pytest.fail(f"no strict-JSON last line ({exc}); the last stdout lines were:\n{tail}")
     assert result["correct"] is True
     assert result["failed"] == 0
     for metric in BENCHMARK["end_to_end"]:

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from noncvxpro import varpro
 from noncvxpro.lbfgs import LbfgsConfig, minimize
 from noncvxpro.linalg import Side
-from noncvxpro.problems import MultiTaskProblem, Problem, primal_objective, synth_lasso
+from noncvxpro.problems import MultiTaskProblem, Problem, graph_incidence, primal_objective, synth_lasso
 from noncvxpro.regularizers import GroupL2, GroupStructure, L1, Lq, lambda_max
 from noncvxpro.varpro import (
     InconsistentSystem,
@@ -22,7 +22,7 @@ from noncvxpro.varpro import (
     inner_solve_primal,
     recover_beta,
 )
-from _oracles import fd_grad, fd_jacobian, random_group_problem
+from _oracles import dual_matrix_reference, fd_grad, fd_jacobian, random_group_problem
 
 
 def scalar_problem():
@@ -79,6 +79,39 @@ def test_primal_solve_needs_positive_lambda():
     prob = Problem(np.array([[1.0, 1.0]]), np.array([1.0]), 0.0, L1())
     with pytest.raises(ValueError):
         inner_solve_primal(prob, np.ones(2))
+
+
+def grid_edges(side):
+    node = np.arange(side * side).reshape(side, side)
+    return [(a, b) for a, b in zip(node[:, :-1].ravel(), node[:, 1:].ravel())] + [
+        (a, b) for a, b in zip(node[:-1].ravel(), node[1:].ravel())
+    ]
+
+
+@pytest.mark.parametrize(
+    "m, n, layout",
+    [(200, 1000, "C"), (200, 1000, "F"), (60, 200, "C"), (60, 200, "F"), (400, 760, "csr")],
+    ids=["200x1000-C", "200x1000-F", "60x200-C", "60x200-F", "csr-20x20-grid"],
+)
+def test_dual_matrix_matches_the_general_product(m, n, layout):
+    # A A^T with A = X diag(vbar) is the same matrix as the general product
+    # up to rounding, at v with negative and exactly zero entries; the dense
+    # form comes out exactly symmetric
+    rng = np.random.default_rng(23)
+    if layout == "csr":
+        X = scipy.sparse.csr_matrix(graph_incidence(grid_edges(20), m))
+    else:
+        X = np.asarray(rng.standard_normal((m, n)), order=layout)
+    prob = Problem(X, np.ones(m), 1.0, L1())
+    v = rng.standard_normal(n)
+    v[::5] = 0.0
+    vbar = prob.groups.expand(v)
+    K = varpro._dual_matrix(prob, vbar)
+    ref = dual_matrix_reference(X, vbar)
+    assert K.shape == (m, m)
+    assert np.abs(K - ref).max() <= 1e-13 * np.abs(ref).max()
+    if layout != "csr":
+        assert np.array_equal(K, K.T)
 
 
 def test_dual_solve_scalar():
