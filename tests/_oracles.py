@@ -90,9 +90,8 @@ def dense_bfgs_direction(pairs, g):
     """Search direction from the textbook BFGS inverse-Hessian update.
 
     Rebuilds H from a gamma-scaled identity (gamma from the newest pair)
-    through every stored (s, y) pair in order, then returns -H g.  The
-    limited-memory two-loop recursion with unbounded memory must produce
-    the same direction.
+    through every stored (s, y) pair in order, then returns -H g.  L-BFGS
+    with unbounded memory must produce the same direction.
     """
     d = g.size
     if not pairs:
@@ -105,30 +104,6 @@ def dense_bfgs_direction(pairs, g):
         V = np.eye(d) - rho * np.outer(s, y)
         H = V @ H @ V.T + rho * np.outer(s, s)
     return -H @ g
-
-
-def two_loop_reference(g, pairs):
-    """The L-BFGS two-loop recursion as first written, inner products by @.
-
-    pairs holds (s, y, rho) oldest first.  The package's recursion must
-    return the same bits.
-    """
-    q = g.copy()
-    alphas = []
-    for s, y, rho in reversed(pairs):
-        a = rho * float(s @ q)
-        q -= a * y
-        alphas.append(a)
-    if pairs:
-        s, y, _ = pairs[-1]
-        gamma = float(s @ y) / float(y @ y)
-    else:
-        gamma = 1.0
-    r = gamma * q
-    for (s, y, rho), a in zip(pairs, reversed(alphas)):
-        b = rho * float(y @ r)
-        r += s * (a - b)
-    return r
 
 
 def random_group_problem(rng, m_max=30, n_max=30, lam_frac=10.0, reg_kind="group"):

@@ -15,9 +15,11 @@ from noncvxpro.varpro import eval_state, f_and_grad_matrix, recover_beta
 @pytest.mark.parametrize("problem, reg, groups", [
     ("synth:m=30,n=60,s=4", "l1", 0),  # wide: the m-sized dual route
     ("synth:m=60,n=40,s=4", "group", 8),  # tall: the n-sized primal route
+    ("synth:m=24,n=64,s=4", "lq:0.8", 0),  # at lam = 0: the lq phase experiment's route
 ])
 def test_solve_evaluates_once_per_oracle_call(monkeypatch, problem, reg, groups):
-    prob = load_problem(BenchConfig(problem=problem, reg=reg, groups=groups, seed=3))
+    lam = 0.0 if reg.startswith("lq") else None
+    prob = load_problem(BenchConfig(problem=problem, reg=reg, groups=groups, lambda_abs=lam, seed=3))
     assert prob.groups is prob.groups
     evals, builds = [], []
     inner_eval, inner_init = bench.eval_state, GroupStructure.__init__

@@ -1,15 +1,15 @@
-"""Optimizer tests: line-search contract, convergence, memory semantics, box variant."""
+"""Optimizer tests: step contract, convergence, stop reasons, memory semantics, box variant."""
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_allclose
 
-from noncvxpro.lbfgs import LbfgsConfig, _norm, _two_loop, minimize, minimize_box
+from noncvxpro.lbfgs import LbfgsConfig, minimize, minimize_box
 from noncvxpro.problems import Problem
 from noncvxpro.regularizers import L1
 from noncvxpro.varpro import eval_state
 
-from _oracles import dense_bfgs_direction, two_loop_reference
+from _oracles import dense_bfgs_direction
 
 
 def rosenbrock(x):
@@ -24,15 +24,6 @@ def rosenbrock(x):
 
 
 # -------------------------------------------------------------------- config
-
-def test_config_rejects_bad_wolfe_constants():
-    with pytest.raises(ValueError):
-        LbfgsConfig(c1=0.5, c2=0.1)
-    with pytest.raises(ValueError):
-        LbfgsConfig(c2=1.0)
-    with pytest.raises(ValueError):
-        LbfgsConfig(c1=0.0)
-
 
 def test_config_rejects_zero_memory():
     with pytest.raises(ValueError):
@@ -76,46 +67,23 @@ def test_scalar_bilevel_objective_reaches_global_minimum():
     assert res.f == pytest.approx(1.5, abs=1e-10)
 
 
-def test_krylov_termination_on_strongly_convex_quadratics():
-    # with memory >= d and a tight curvature constant the method inherits
-    # CG-style finite termination: d steps span the Krylov space, so a
-    # d+5 budget must already produce a near-exact minimizer
-    for seed, d in [(0, 3), (1, 6), (2, 10)]:
-        rng = np.random.default_rng(seed)
-        M = rng.standard_normal((d, d))
-        A = M @ M.T + d * np.eye(d)
-        b = rng.standard_normal(d)
-
-        def oracle(x):
-            return 0.5 * float(x @ A @ x) - float(b @ x), A @ x - b
-
-        res = minimize(
-            oracle,
-            np.zeros(d),
-            LbfgsConfig(memory=d + 2, tol=0.0, c2=1e-3, max_iters=d + 5),
-            callback=lambda k, x, f, g: bool(np.linalg.norm(g) <= 1e-9),
-        )
-        assert res.iterations <= d + 5
-        assert res.grad_norm <= 1e-9
-
-
 # ------------------------------------------------------------ step contract
 
 def test_accepted_steps_satisfy_strong_wolfe():
-    cfg = LbfgsConfig()
+    # L-BFGS-B's line search (Moré-Thuente) runs with c1 = 1e-3 and c2 = 0.9
+    c1, c2 = 1e-3, 0.9
     hist = []
     minimize(
         rosenbrock,
         np.array([-1.2, 1.0]),
-        cfg,
         callback=lambda k, x, f, g: hist.append((x.copy(), f, g.copy())) or False,
     )
     assert len(hist) > 10
     for (x0, f0, g0), (x1, f1, g1) in zip(hist, hist[1:]):
         dx = x1 - x0
         slack = 1e-12 * (1.0 + abs(f0))
-        assert f1 <= f0 + cfg.c1 * float(g0 @ dx) + slack
-        assert abs(float(g1 @ dx)) <= cfg.c2 * abs(float(g0 @ dx)) + slack
+        assert f1 <= f0 + c1 * float(g0 @ dx) + slack
+        assert abs(float(g1 @ dx)) <= c2 * abs(float(g0 @ dx)) + slack
 
 
 def test_full_memory_directions_match_dense_bfgs():
@@ -151,41 +119,6 @@ def test_full_memory_directions_match_dense_bfgs():
         if float(s @ y) > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
             pairs.append((s, y))
     assert compared >= 5
-
-
-@pytest.mark.parametrize("npairs", [0, 1, 10])
-def test_two_loop_matches_reference_bit_for_bit(npairs):
-    rng = np.random.default_rng(npairs)
-    d = 30
-    pairs = []
-    for _ in range(npairs):
-        s = rng.standard_normal(d)
-        y = s + 0.3 * rng.standard_normal(d)
-        pairs.append((s, y, 1.0 / float(s @ y)))
-    g = rng.standard_normal(d)
-    g_before = g.copy()
-    assert_array_equal(_two_loop(g, pairs), two_loop_reference(g, pairs))
-    assert_array_equal(g, g_before)
-
-
-@pytest.mark.parametrize("x", [
-    np.zeros(7),
-    np.random.default_rng(1).standard_normal(1),
-    np.random.default_rng(2).standard_normal(30),
-    1e-150 * np.random.default_rng(3).standard_normal(1000),
-], ids=["zero", "one", "thirty", "tiny"])
-def test_norm_is_numpys_norm(x):
-    assert _norm(x) == np.linalg.norm(x)
-    assert type(_norm(x)) is float
-
-
-def test_norm_overflows_like_numpys_norm():
-    # x . x overflows near 1e200: both return inf, and numpy warns in both
-    x = np.full(5, 1e200)
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        ref = np.linalg.norm(x)
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        assert _norm(x) == ref == np.inf
 
 
 def test_trace_is_monotone_and_aligned_with_iterations():
@@ -232,6 +165,36 @@ def test_callback_may_stop_before_any_step():
 def test_nonfinite_start_raises():
     with pytest.raises(ValueError):
         minimize(lambda x: (np.inf, np.zeros_like(x)), np.zeros(2))
+
+
+def test_relative_reduction_stop_reported():
+    # with tol = 0 the gradient test cannot fire; the run ends once a step
+    # lowers f by at most 1e-15 max(|f|, 1), here at the minimizer
+    res = minimize(rosenbrock, np.array([-1.2, 1.0]), LbfgsConfig(tol=0.0))
+    assert res.reason == "converged_f"
+    assert_allclose(res.x, [1.0, 1.0], atol=1e-6)
+
+
+@pytest.mark.parametrize("edge", [0.5, 1.5])
+@pytest.mark.parametrize("wall", [np.inf, np.nan])
+def test_nonfinite_wall_is_a_failed_line_search(wall, edge):
+    # the minimizer (2, -1) lies behind a wall at x[0] = edge where f is not
+    # finite, met on the first trial (0.5) or after one finite step (1.5):
+    # the run stops at a finite accepted point, never reports convergence,
+    # and calls back once per accepted point, with no step for the wall
+    c = np.array([2.0, -1.0])
+
+    def oracle(x):
+        return (wall if x[0] > edge else 0.5 * float(np.sum((x - c) ** 2))), x - c
+
+    seen = []
+    res = minimize(oracle, np.zeros(2), callback=lambda k, x, f, g: seen.append((k, x.copy())) or False)
+    assert res.reason == "line_search_failed"
+    assert res.x[0] <= edge
+    assert res.f == oracle(res.x)[0] <= oracle(np.zeros(2))[0]
+    assert [k for k, _ in seen] == list(range(res.iterations + 1))
+    assert all(np.any(x1 != x0) for (_, x0), (_, x1) in zip(seen, seen[1:]))
+    assert np.array_equal(seen[-1][1], res.x)
 
 
 # ---------------------------------------------------------------------- box
